@@ -1,13 +1,12 @@
 // Command ppetsim runs the PPET self-test session on a partitioned circuit:
-// every segment is driven by its TPG CBIT's maximal-length sequence, the
-// responses fold into per-segment MISR signatures, and (optionally) stuck-at
-// faults are injected and the resulting fault coverage reported.
+// every segment is driven by its TPG CBIT's maximal-length sequence and
+// the responses fold into per-segment MISR signatures. For stuck-at fault
+// coverage of the same segments, run merced -cover.
 //
 // Usage:
 //
-//	ppetsim -circuit s27 -lk 3                 # golden signatures
-//	ppetsim -circuit s27 -lk 3 -faults 200     # fault-coverage campaign
-//	ppetsim -circuit s641 -lk 16 -faults all
+//	ppetsim -circuit s27 -lk 3                     # golden signatures
+//	ppetsim -circuit s641 -lk 16 -max-patterns 4096
 package main
 
 import (
@@ -15,15 +14,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
-	"strconv"
 
 	"repro/internal/bench89"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/netlist"
 	"repro/internal/ppet"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -31,9 +26,7 @@ func main() {
 	circuit := flag.String("circuit", "", "built-in benchmark name")
 	lk := flag.Int("lk", 16, "input-size constraint l_k")
 	seed := flag.Int64("seed", 1, "random seed")
-	faults := flag.String("faults", "", "fault campaign: empty (none), a count, or 'all'")
 	maxPatterns := flag.Uint64("max-patterns", 0, "cap applied patterns per segment (0: pseudo-exhaustive)")
-	collapse := flag.Bool("collapse", false, "collapse equivalent faults before simulating")
 	flag.Parse()
 
 	c, err := loadCircuit(*file, *circuit)
@@ -61,59 +54,6 @@ func main() {
 			s.Cluster, sp.Inputs, sp.TPGWidth, sp.Outputs, sp.PSAWidth, (sp.PSAWidth+3)/4, s.Value, s.Cycles)
 	}
 
-	if *faults == "" {
-		return
-	}
-	runFaultCampaign(c, r, *faults, *seed, *maxPatterns, *collapse)
-}
-
-func runFaultCampaign(c *netlist.Circuit, r *core.Result, spec string, seed int64, maxPatterns uint64, collapse bool) {
-	totalFaults, totalDetected, totalCollapsed := 0, 0, 0
-	for _, cl := range r.Partition.Clusters {
-		inputs := make([]int, 0, len(cl.InputNets))
-		for e := range cl.InputNets {
-			inputs = append(inputs, e)
-		}
-		sort.Ints(inputs)
-		sg, err := sim.BuildSegment(c, r.Graph, cl.Nodes, inputs)
-		if err != nil {
-			fatal(err)
-		}
-		list := fault.List(sg)
-		if collapse {
-			reps, _ := fault.Collapse(c, sg, list)
-			totalCollapsed += len(list) - len(reps)
-			list = reps
-		}
-		if spec != "all" {
-			n, err := strconv.Atoi(spec)
-			if err != nil || n < 0 {
-				fatal(fmt.Errorf("bad -faults value %q", spec))
-			}
-			per := n / len(r.Partition.Clusters)
-			if per < 1 {
-				per = 1
-			}
-			if per < len(list) {
-				list = list[:per]
-			}
-		}
-		cov, err := fault.Simulate(sg, list, fault.Options{Seed: seed, MaxPatterns: maxPatterns})
-		if err != nil {
-			fatal(err)
-		}
-		totalFaults += cov.Total
-		totalDetected += cov.Detected
-		fmt.Printf("  segment %2d: %4d/%4d stuck-at faults detected (%.1f%%), %d patterns x %d batches\n",
-			cl.ID, cov.Detected, cov.Total, 100*cov.Ratio(), cov.Patterns, cov.Batches)
-	}
-	if totalFaults > 0 {
-		fmt.Printf("overall fault coverage: %d/%d = %.2f%%\n",
-			totalDetected, totalFaults, 100*float64(totalDetected)/float64(totalFaults))
-	}
-	if collapse {
-		fmt.Printf("fault collapsing removed %d equivalent faults\n", totalCollapsed)
-	}
 }
 
 func loadCircuit(file, name string) (*netlist.Circuit, error) {

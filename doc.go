@@ -10,7 +10,7 @@
 //
 //   - cmd/merced    — the BIST compiler (paper Table 2)
 //   - cmd/tables    — regenerates every table and figure of the evaluation
-//   - cmd/ppetsim   — PPET self-test and fault-coverage simulation
+//   - cmd/ppetsim   — PPET self-test signatures (fault coverage: merced -cover)
 //   - cmd/benchgen  — writes the synthetic ISCAS89-statistics suite
 //   - examples/     — quickstart, s27 walkthrough, area sweep, fault coverage
 //

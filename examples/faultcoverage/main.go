@@ -49,7 +49,7 @@ func main() {
 	}
 
 	// A fault changes its segment's signature.
-	someSignal := r.Graph.Nets[r.Partition.Clusters[0].Nodes[0]].Name
+	someSignal := r.Graph.Nodes[r.Partition.Clusters[0].Nodes[0]].Name
 	faulty, err := ppet.SelfTest(c, r.Partition, ppet.SelfTestOptions{
 		Seed:  1,
 		Fault: &sim.Fault{Signal: someSignal, Stuck1: true},

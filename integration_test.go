@@ -69,9 +69,15 @@ func TestCLIsEndToEnd(t *testing.T) {
 	}
 
 	ppetsim := buildCmd(t, dir, "ppetsim")
-	out = run(t, ppetsim, "-circuit", "s27", "-lk", "3", "-faults", "all")
-	if !strings.Contains(out, "overall fault coverage") {
+	out = run(t, ppetsim, "-circuit", "s27", "-lk", "3")
+	if !strings.Contains(out, "3 segments") || strings.Count(out, "-bit MISR, signature ") != 3 {
 		t.Fatalf("ppetsim output:\n%s", out)
+	}
+
+	// Fault coverage of the same segments is merced -cover's job.
+	out = run(t, merced, "-cover", "-circuit", "s27", "-lk", "3")
+	if !strings.Contains(out, "Fault coverage") || !strings.Contains(out, "faults detected") {
+		t.Fatalf("merced -cover output:\n%s", out)
 	}
 
 	tables := buildCmd(t, dir, "tables")

@@ -7,11 +7,12 @@ import (
 
 // LaneEngine is a wide-lane fault-simulation machine bound to one Segment:
 // injected force masks, sequential state, and the detection accumulator,
-// all at a fixed vector width chosen at construction. It replaces the
-// (Injector, SegState, output buffer) triple of the scalar path for batch
-// fault simulation: one Step drives the segment's inputs, settles the
+// all at a fixed vector width chosen at construction. It is the package's
+// one fault machine: one Step drives the segment's inputs, settles the
 // program, folds boundary-output divergence into the detected mask, and
-// latches the flip-flops — for 64*Words() lanes at once.
+// latches the flip-flops — for 64*Words() lanes at once. Fault campaigns
+// run Step/StepWarm on wide engines; the PPET self-test runs StepObserve on
+// a one-word engine and folds one lane's outputs into a MISR signature.
 //
 // Determinism contract: lanes are independent. Lane L's verdict after a
 // given pattern sequence depends only on the fault injected in lane L and
@@ -38,7 +39,8 @@ type LaneEngine interface {
 	// ResetState zeroes the sequential state (a scan-style
 	// re-initialisation between sessions).
 	ResetState()
-	// Step applies one clock — drive inputs from pattern bits, settle,
+	// Step applies one clock — drive inputs from pattern bits (bit i
+	// drives InputNames[i], broadcast to every lane), settle,
 	// accumulate detection from the boundary outputs, latch flip-flops —
 	// and reports whether every armed lane has now diverged.
 	Step(pattern uint64) bool
@@ -46,6 +48,11 @@ type LaneEngine interface {
 	// pre-load sequential state but must not count divergence observed
 	// before patterns have pipelined through.
 	StepWarm(pattern uint64)
+	// StepObserve is StepWarm that also writes lane's boundary-output
+	// bits (0 or 1, in OutputNames order) into out, sampled before the
+	// flip-flops latch. lane is 0 (the fault-free machine) to Lanes();
+	// out must have NumOutputs entries.
+	StepObserve(pattern uint64, lane int, out []uint64)
 	// Detected reports whether lane has diverged since the last Arm.
 	Detected(lane int) bool
 	// AllDetected reports whether every armed lane has diverged.
@@ -180,6 +187,10 @@ func (e *laneEngine[W]) Step(pattern uint64) bool {
 
 func (e *laneEngine[W]) StepWarm(pattern uint64) { e.cycle(pattern, false) }
 
+func (e *laneEngine[W]) StepObserve(pattern uint64, lane int, out []uint64) {
+	e.cycleGeneric(pattern, false, lane, out)
+}
+
 // cycle is one clock of the wide machine. Like the eval kernel it
 // dispatches to hand-unrolled width specializations (wide_unroll.go): the
 // drive/detect/latch loops run every clock and their generic bodies carry
@@ -196,18 +207,17 @@ func (e *laneEngine[W]) cycle(pattern uint64, detect bool) {
 		cycle4(ee, pattern, detect)
 	case *laneEngine[[8]uint64]:
 		cycle8(ee, pattern, detect)
-	default:
-		e.cycleGeneric(pattern, detect)
 	}
 }
 
-// cycleGeneric is the readable reference body for one clock, in the same
-// order as the scalar CycleInto: drive inputs (branchless broadcast,
-// forced), settle the program with fault injection, sample boundary
-// outputs into the detection accumulator (pre-latch), then clock the
-// flip-flops through their force masks. The width specializations mirror
-// it statement for statement.
-func (e *laneEngine[W]) cycleGeneric(pattern uint64, detect bool) {
+// cycleGeneric is the readable reference body for one clock: drive inputs
+// (branchless broadcast, forced), settle the program with fault
+// injection, sample boundary outputs into the detection accumulator and,
+// when out is non-nil, lane's output bits into out (both pre-latch), then
+// clock the flip-flops through their force masks. The width
+// specializations mirror it statement for statement, minus the observe
+// step, which only the cold self-test clock (StepObserve) takes.
+func (e *laneEngine[W]) cycleGeneric(pattern uint64, detect bool, lane int, out []uint64) {
 	sg := e.sgmt
 	v, f0, f1 := e.v, e.force0, e.force1
 	for i, sig := range sg.inputs {
@@ -233,6 +243,12 @@ func (e *laneEngine[W]) cycleGeneric(pattern uint64, detect bool) {
 			det[j] &= want[j]
 		}
 		e.det = det
+	}
+	if out != nil {
+		word, bit := lane>>6, uint(lane&63)
+		for i, sig := range sg.outputs {
+			out[i] = v[sig][word] >> bit & 1
+		}
 	}
 	for i := range sg.dffs {
 		d := &sg.dffs[i]

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bench89"
 	"repro/internal/netlist"
 )
 
@@ -37,17 +38,19 @@ func randomProgram(rng *rand.Rand, gates int) ([]gateOp, int) {
 	return order, next
 }
 
-// vecTrial runs the wide kernels at one width against the scalar kernels
-// plane by plane: element j of every vector word must equal an independent
-// scalar evaluation of plane j, for both the fault-free and the
-// force-masked path. This is the differential property that pins every
-// lanevec instantiation to the single scalar reference already pinned to
-// refEval.
+// vecTrial runs the wide fault kernel at one width — the unrolled
+// specialization and the generic body, which must agree exactly — and
+// then checks it plane by plane: element j of every vector word must equal
+// an independent one-word evaluation of plane j. Odd trials carry random
+// force masks and take evalFaultyVecGeneric[[1]uint64] as the plane
+// oracle; even trials run with zero masks and take the fault-free scalar
+// prog.eval, itself pinned to refEval.
 func vecTrial[W lanevec](t *testing.T, rng *rand.Rand, prog *program, nsig int, trials int) {
 	t.Helper()
 	var zero W
 	words := len(zero)
 	for trial := 0; trial < trials; trial++ {
+		faulty := trial%2 == 1
 		v := make([]W, nsig)
 		f0 := make([]W, nsig)
 		f1 := make([]W, nsig)
@@ -57,55 +60,53 @@ func vecTrial[W lanevec](t *testing.T, rng *rand.Rand, prog *program, nsig int, 
 			}
 		}
 		// Sparse random force masks. Overlapping f0/f1 bits are fine for
-		// the differential: both kernels resolve the overlap the same way
-		// (the stuck-at-1 mask is applied last).
+		// the differential: every kernel resolves the overlap the same
+		// way (the stuck-at-1 mask is applied last).
 		for i := range f0 {
-			if rng.Intn(4) == 0 {
+			if faulty && rng.Intn(4) == 0 {
 				f0[i][rng.Intn(words)] = rng.Uint64()
 			}
-			if rng.Intn(4) == 0 {
+			if faulty && rng.Intn(4) == 0 {
 				f1[i][rng.Intn(words)] = rng.Uint64()
 			}
 		}
+		in := append([]W(nil), v...)
 
-		// Scalar reference planes, captured before the wide kernels run.
-		type plane struct{ v, f0, f1 []uint64 }
-		planes := make([]plane, words)
-		for j := 0; j < words; j++ {
-			p := plane{make([]uint64, nsig), make([]uint64, nsig), make([]uint64, nsig)}
-			for i := 0; i < nsig; i++ {
-				p.v[i], p.f0[i], p.f1[i] = v[i][j], f0[i][j], f1[i][j]
-			}
-			planes[j] = p
-		}
-
-		if trial%2 == 0 {
-			evalVec(prog, v)
-			for j := 0; j < words; j++ {
-				prog.eval(planes[j].v)
-			}
-		} else {
-			// The faulty path runs twice: the dispatching entry point (which
-			// hits the unrolled specialization for this width) and the
-			// generic reference body, which must agree exactly.
-			vg := append([]W(nil), v...)
-			evalFaultyVec(prog, v, f0, f1)
-			evalFaultyVecGeneric(prog, vg, f0, f1)
-			for i := 0; i < nsig; i++ {
-				if v[i] != vg[i] {
-					t.Fatalf("W=%d trial %d: signal %d unrolled %x, generic %x",
-						words, trial, i, v[i], vg[i])
-				}
-			}
-			for j := 0; j < words; j++ {
-				prog.evalFaulty(planes[j].v, planes[j].f0, planes[j].f1)
-			}
-		}
+		// The dispatching entry point (which hits the unrolled
+		// specialization for this width) and the generic body.
+		vg := append([]W(nil), v...)
+		evalFaultyVec(prog, v, f0, f1)
+		evalFaultyVecGeneric(prog, vg, f0, f1)
 		for i := 0; i < nsig; i++ {
-			for j := 0; j < words; j++ {
-				if v[i][j] != planes[j].v[i] {
-					t.Fatalf("W=%d trial %d: signal %d plane %d = %x, scalar %x",
-						words, trial, i, j, v[i][j], planes[j].v[i])
+			if v[i] != vg[i] {
+				t.Fatalf("W=%d trial %d: signal %d unrolled %x, generic %x",
+					words, trial, i, v[i], vg[i])
+			}
+		}
+
+		for j := 0; j < words; j++ {
+			ref := make([]uint64, nsig)
+			if faulty {
+				pv := make([][1]uint64, nsig)
+				pf0 := make([][1]uint64, nsig)
+				pf1 := make([][1]uint64, nsig)
+				for i := 0; i < nsig; i++ {
+					pv[i][0], pf0[i][0], pf1[i][0] = in[i][j], f0[i][j], f1[i][j]
+				}
+				evalFaultyVecGeneric(prog, pv, pf0, pf1)
+				for i := range ref {
+					ref[i] = pv[i][0]
+				}
+			} else {
+				for i := range ref {
+					ref[i] = in[i][j]
+				}
+				prog.eval(ref)
+			}
+			for i := 0; i < nsig; i++ {
+				if v[i][j] != ref[i] {
+					t.Fatalf("W=%d trial %d (faulty=%v): signal %d plane %d = %x, one-word oracle %x",
+						words, trial, faulty, i, j, v[i][j], ref[i])
 				}
 			}
 		}
@@ -177,40 +178,81 @@ func TestLaneEngineWidthInvariant(t *testing.T) {
 	}
 }
 
-// The one-word engine must agree with the scalar Segment path it replaces:
-// same fault, same lane, same patterns, same divergence observations.
-func TestLaneEngineMatchesScalarSegment(t *testing.T) {
-	_, _, sg := segmentFixture(t, s27)
-	for _, f := range segmentFaults(sg) {
-		e, err := sg.NewLaneEngine(1)
+// cycleTrial pins the unrolled clock of one width (Step and StepWarm,
+// dispatching to cycle1/2/4/8) to cycleGeneric: two engines with the same
+// random faults, armed set and random starting state must hold identical
+// state planes and detection masks after every clock of a random pattern
+// sequence.
+func cycleTrial[W lanevec](t *testing.T, rng *rand.Rand, sg *Segment) {
+	t.Helper()
+	fast, ref := newLaneEngine[W](sg), newLaneEngine[W](sg)
+	for lane := 1; lane <= fast.Lanes(); lane++ {
+		if rng.Intn(3) == 0 {
+			continue // leave some lanes fault-free
+		}
+		f := Fault{Signal: sg.names[rng.Intn(len(sg.names))], Stuck1: rng.Intn(2) == 1}
+		for _, e := range []*laneEngine[W]{fast, ref} {
+			if err := e.Inject(f, lane); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Arm into the last word, so every word's detect and mask path is
+	// live, and at a random cut so the armed mask is ragged.
+	armed := fast.Lanes() - rng.Intn(64)
+	fast.Arm(armed)
+	ref.Arm(armed)
+	for i := range fast.v {
+		for j := 0; j < fast.Words(); j++ {
+			fast.v[i][j] = rng.Uint64()
+		}
+		ref.v[i] = fast.v[i]
+	}
+	for cycle := 0; cycle < 64; cycle++ {
+		p := rng.Uint64()
+		if detect := rng.Intn(4) != 0; detect {
+			all := fast.Step(p)
+			ref.cycleGeneric(p, true, 0, nil)
+			if all != ref.AllDetected() {
+				t.Fatalf("W=%d cycle %d: Step reported all-detected %v, generic %v",
+					fast.Words(), cycle, all, ref.AllDetected())
+			}
+		} else {
+			fast.StepWarm(p)
+			ref.cycleGeneric(p, false, 0, nil)
+		}
+		for i := range fast.v {
+			if fast.v[i] != ref.v[i] {
+				t.Fatalf("W=%d cycle %d: signal %s unrolled %x, generic %x",
+					fast.Words(), cycle, sg.names[i], fast.v[i], ref.v[i])
+			}
+		}
+		if fast.DetectedMask() != ref.DetectedMask() {
+			t.Fatalf("W=%d cycle %d: detected mask unrolled %x, generic %x",
+				fast.Words(), cycle, fast.DetectedMask(), ref.DetectedMask())
+		}
+	}
+}
+
+func TestCycleUnrolledMatchesGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	_, _, s27seg := segmentFixture(t, s27)
+	segs := []*Segment{s27seg}
+	for _, name := range []string{"s510", "s1423"} {
+		c, err := bench89.Load(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Inject(f, 1); err != nil {
-			t.Fatal(err)
+		_, sg := wholeSegment(t, c)
+		segs = append(segs, sg)
+	}
+	for _, sg := range segs {
+		for trial := 0; trial < 4; trial++ {
+			cycleTrial[[1]uint64](t, rng, sg)
+			cycleTrial[[2]uint64](t, rng, sg)
+			cycleTrial[[4]uint64](t, rng, sg)
+			cycleTrial[[8]uint64](t, rng, sg)
 		}
-		e.Arm(1)
-
-		if err := sg.InjectFault(f, 1); err != nil {
-			t.Fatal(err)
-		}
-		st := sg.NewState()
-		scalarDet := false
-
-		for cycle := 0; cycle < 48; cycle++ {
-			p := uint64(cycle * 5 % 16)
-			outs := sg.Cycle(st, p)
-			for _, w := range outs {
-				if (w^-(w&1))&2 != 0 { // lane 1 vs broadcast lane 0
-					scalarDet = true
-				}
-			}
-			e.Step(p)
-			if e.Detected(1) != scalarDet {
-				t.Fatalf("%v: cycle %d engine detected=%v scalar=%v", f, cycle, e.Detected(1), scalarDet)
-			}
-		}
-		sg.ClearFaults()
 	}
 }
 

@@ -97,29 +97,33 @@ func TestProgramMatchesReference(t *testing.T) {
 			}
 		}
 
-		// evalFaulty with zero masks must agree with eval; with masks it
-		// must pin exactly the forced lanes.
-		f0 := make([]uint64, next)
-		f1 := make([]uint64, next)
-		prog.evalFaulty(got, f0, f1)
-		for i := sources; i < next; i++ {
-			if want[i] != got[i] {
+		// The generic fault kernel with zero masks must agree with eval;
+		// with a mask it must force exactly the masked lane.
+		vg := make([][1]uint64, next)
+		for i := 0; i < sources; i++ {
+			vg[i][0] = want[i]
+		}
+		f0 := make([][1]uint64, next)
+		f1 := make([][1]uint64, next)
+		evalFaultyVecGeneric(prog, vg, f0, f1)
+		for i := range want {
+			if want[i] != vg[i][0] {
 				t.Fatalf("trial %d: zero-mask faulty eval diverged at %d", trial, i)
 			}
 		}
 		victim := order[rng.Intn(len(order))].out
-		f1[victim] = 1 << 7
-		prog.evalFaulty(got, f0, f1)
-		if got[victim]&(1<<7) == 0 {
-			t.Fatalf("stuck-at-1 lane not forced on signal %d", victim)
+		f1[victim][0] = 1 << 7
+		evalFaultyVecGeneric(prog, vg, f0, f1)
+		if vg[victim][0] != want[victim]|1<<7 {
+			t.Fatalf("stuck-at-1 lane not forced on signal %d: %x, fault-free %x", victim, vg[victim][0], want[victim])
 		}
 	}
 }
 
 func TestInjectorIsolation(t *testing.T) {
-	// Two injectors on one shared segment must not see each other's
-	// faults, and concurrent cycles with separate (state, injector) pairs
-	// must match serial runs. Run with -race to check the sharing claim.
+	// Two engines on one shared segment must not see each other's
+	// faults, and concurrent runs on separate engines must match serial
+	// runs. Run with -race to check the sharing claim.
 	_, _, sg := segmentFixture(t, `
 INPUT(a)
 INPUT(b)
@@ -129,32 +133,31 @@ n2 = XOR(n1, a)
 y = OR(n2, b)
 `)
 
-	clean := sg.NewInjector()
-	faulty := sg.NewInjector()
-	if err := sg.Inject(faulty, Fault{Signal: "n1", Stuck1: false}, 1); err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(inj *Injector) []uint64 {
-		st := sg.GetState()
-		defer sg.PutState(st)
+	// run observes lane 1 of a fresh engine from the segment's pool,
+	// with n1 stuck at 0 in that lane when faulty.
+	run := func(faulty bool) ([]uint64, error) {
+		e, err := sg.GetLaneEngine(1)
+		if err != nil {
+			return nil, err
+		}
+		defer sg.PutLaneEngine(e)
+		if faulty {
+			if err := e.Inject(Fault{Signal: "n1", Stuck1: false}, 1); err != nil {
+				return nil, err
+			}
+		}
 		out := make([]uint64, sg.NumOutputs())
 		res := make([]uint64, 0, 4)
 		for pat := uint64(0); pat < 4; pat++ {
-			sg.CycleInto(st, inj, pat, out)
+			e.StepObserve(pat, 1, out)
 			res = append(res, out...)
 		}
-		return res
+		return res, nil
 	}
-
-	wantClean := run(clean)
-	wantFaulty := run(faulty)
-
-	done := make(chan []uint64, 2)
-	go func() { done <- run(clean) }()
-	go func() { done <- run(faulty) }()
-	a, b := <-done, <-done
-	match := func(got, want []uint64) bool {
+	equal := func(got, want []uint64) bool {
+		if len(got) != len(want) {
+			return false
+		}
 		for i := range got {
 			if got[i] != want[i] {
 				return false
@@ -162,10 +165,43 @@ y = OR(n2, b)
 		}
 		return true
 	}
-	okClean := match(a, wantClean) || match(b, wantClean)
-	okFaulty := match(a, wantFaulty) || match(b, wantFaulty)
-	if !okClean || !okFaulty {
-		t.Fatalf("concurrent runs diverged from serial: clean=%v faulty=%v", okClean, okFaulty)
+
+	wantClean, err := run(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFaulty, err := run(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if equal(wantClean, wantFaulty) {
+		t.Fatal("n1/SA0 invisible at y — fixture assumption broken")
+	}
+
+	type result struct {
+		faulty bool
+		out    []uint64
+		err    error
+	}
+	done := make(chan result, 2)
+	for _, faulty := range []bool{false, true} {
+		go func() {
+			out, err := run(faulty)
+			done <- result{faulty, out, err}
+		}()
+	}
+	for range 2 {
+		r := <-done
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		want := wantClean
+		if r.faulty {
+			want = wantFaulty
+		}
+		if !equal(r.out, want) {
+			t.Fatalf("concurrent run (faulty=%v) diverged from serial: %v, want %v", r.faulty, r.out, want)
+		}
 	}
 }
 

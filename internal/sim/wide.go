@@ -5,7 +5,7 @@ package sim
 // instead of a single uint64. One word of W machine words carries
 // 64*W bit-parallel lanes — lane 0 is the fault-free machine, lanes
 // 1..BatchLanes(W) each carry one injected stuck-at fault — so a W=4
-// batch simulates 255 faults per pattern where the scalar kernel packed
+// batch simulates 255 faults per pattern where a one-word batch packs
 // 63. The element loops all run a constant trip count known at
 // instantiation time, so the compiler emits straight-line word ops the
 // hardware can schedule (and vectorize where it auto-vectorizes); the
@@ -13,11 +13,11 @@ package sim
 // bounds checks) is paid once per W words instead of once per word,
 // which is where the per-lane throughput scales.
 //
-// The scalar kernel in program.go is the retained W=1 specialization:
-// Evaluator, the legacy Segment Cycle APIs, and the VCD writer all view
-// state as []uint64, and a generic function cannot reinterpret that
-// slice as [][1]uint64 without unsafe. The differential tests pin the
-// generic kernel against the same scalar reference at every width.
+// Every fault machine in the package is a LaneEngine over this kernel; a
+// one-word engine is the 63-fault (or, for the self-test, single-fault)
+// case. The fault-free scalar eval in program.go stays as Evaluator's
+// kernel: Evaluator and the VCD writer view state as []uint64, which a
+// generic function cannot reinterpret as [][1]uint64 without unsafe.
 
 // LanesPerWord is the number of fault lanes a single uint64 word carries:
 // 63, because lane 0 of the first word is reserved for the fault-free
@@ -134,37 +134,6 @@ func vSplat[W lanevec](x uint64) (w W) {
 // vOnes is the all-ones vector (the AND-reduction identity).
 func vOnes[W lanevec]() W { return vSplat[W](^uint64(0)) }
 
-// evalVec runs the whole program over v fault-free, the wide counterpart
-// of program.eval. As there, the opcode switch stays inlined in the loop
-// so the kind/a/b/out slice headers live in registers across iterations.
-func evalVec[W lanevec](p *program, v []W) {
-	kind, out, a, b := p.kind, p.out, p.a, p.b
-	for i, k := range kind {
-		var r W
-		switch k {
-		case opBuf:
-			r = v[a[i]]
-		case opNot:
-			r = vNot(v[a[i]])
-		case opAnd2:
-			r = vAnd(v[a[i]], v[b[i]])
-		case opNand2:
-			r = vNand(v[a[i]], v[b[i]])
-		case opOr2:
-			r = vOr(v[a[i]], v[b[i]])
-		case opNor2:
-			r = vNor(v[a[i]], v[b[i]])
-		case opXor2:
-			r = vXor(v[a[i]], v[b[i]])
-		case opXnor2:
-			r = vXnor(v[a[i]], v[b[i]])
-		default:
-			r = wideVec(p, k, i, v)
-		}
-		v[out[i]] = r
-	}
-}
-
 // evalFaultyVec is the wide fault-simulation hot loop. It dispatches to
 // the hand-unrolled width specializations in wide_unroll.go: the type
 // switch resolves against the instantiation's dynamic type once per call
@@ -185,16 +154,14 @@ func evalFaultyVec[W lanevec](p *program, v, force0, force1 []W) {
 	}
 }
 
-// evalFaultyVecGeneric mirrors program.evalFaulty over [W]uint64 vectors:
-// the common N-ary reductions are inlined alongside the 1-/2-input
-// kernels, and every destination write folds the signal's force masks in.
-// It is semantically authoritative but slow — gc does not unroll the
+// evalFaultyVecGeneric is the readable single-source body of the wide
+// fault kernel: every destination write folds the signal's force masks
+// in. It is semantically authoritative but slow — gc does not unroll the
 // constant-trip element loops and spills the dynamically-indexed vector
 // locals to the stack — so the hot path runs the unrolled specializations
 // and the differential tests hold all of them to this body's behavior.
 func evalFaultyVecGeneric[W lanevec](p *program, v, force0, force1 []W) {
 	kind, out, a, b := p.kind, p.out, p.a, p.b
-	arena := p.arena
 	for i, k := range kind {
 		var r W
 		switch k {
@@ -214,23 +181,6 @@ func evalFaultyVecGeneric[W lanevec](p *program, v, force0, force1 []W) {
 			r = vXor(v[a[i]], v[b[i]])
 		case opXnor2:
 			r = vXnor(v[a[i]], v[b[i]])
-		case opAndN, opNandN:
-			r = vOnes[W]()
-			for _, f := range arena[a[i]:b[i]] {
-				r = vAnd(r, v[f])
-			}
-			if k == opNandN {
-				r = vNot(r)
-			}
-		case opOrN, opNorN:
-			var z W
-			r = z
-			for _, f := range arena[a[i]:b[i]] {
-				r = vOr(r, v[f])
-			}
-			if k == opNorN {
-				r = vNot(r)
-			}
 		default:
 			r = wideVec(p, k, i, v)
 		}
@@ -243,8 +193,8 @@ func evalFaultyVecGeneric[W lanevec](p *program, v, force0, force1 []W) {
 	}
 }
 
-// wideVec evaluates the uncommon opcodes (MUX, XOR/XNOR with fanin >= 3,
-// and the N-ary fallbacks of the fault-free path), mirroring program.wide.
+// wideVec evaluates the uncommon opcodes, MUX and gates with fanin >= 3,
+// mirroring program.wide.
 func wideVec[W lanevec](p *program, k opKind, i int, v []W) W {
 	switch k {
 	case opMux:

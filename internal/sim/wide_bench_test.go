@@ -1,10 +1,10 @@
 package sim
 
-// Kernel microbenchmarks: the scalar evalFaulty against the unrolled wide
-// specializations on one 400-gate random program. The number to watch is
-// ns/op divided by the width's lane count (63/127/255/511): per-lane
-// throughput is what the campaign's batch packing converts into wall
-// clock, and the unrolled W=4 kernel is the per-lane sweet spot.
+// Kernel microbenchmarks: the unrolled wide specializations on one
+// 400-gate random program. The number to watch is ns/op divided by the
+// width's lane count (63/127/255/511): per-lane throughput is what the
+// campaign's batch packing converts into wall clock, and the unrolled W=4
+// kernel is the per-lane sweet spot.
 
 import (
 	"math/rand"
@@ -15,17 +15,6 @@ func benchProgram(b *testing.B) (*program, int) {
 	rng := rand.New(rand.NewSource(1))
 	order, nsig := randomProgram(rng, 400)
 	return compileProgram(order), nsig
-}
-
-func BenchmarkEvalFaultyScalar(b *testing.B) {
-	p, n := benchProgram(b)
-	v := make([]uint64, n)
-	f0 := make([]uint64, n)
-	f1 := make([]uint64, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.evalFaulty(v, f0, f1)
-	}
 }
 
 func benchVec[W lanevec](b *testing.B) {

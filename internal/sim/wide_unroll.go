@@ -12,10 +12,11 @@ package sim
 // per-gate interpreter overhead (opcode dispatch, operand index loads) is
 // genuinely amortized over W words.
 //
-// Each function mirrors program.evalFaulty exactly: same opcode set, same
-// inlined N-ary reductions, same force-mask fold on every destination.
-// The differential tests (lanes_test.go) pin all four against the scalar
-// kernel plane by plane; any edit here must keep them passing.
+// Each function mirrors evalFaultyVecGeneric exactly: same opcode set,
+// same force-mask fold on every destination, with the common N-ary
+// reductions inlined. The differential tests (lanes_test.go) pin all four
+// against the generic body plane by plane; any edit here must keep them
+// passing.
 
 func evalFaulty1(p *program, v, force0, force1 [][1]uint64) {
 	kind, out, a, b := p.kind, p.out, p.a, p.b
@@ -89,19 +90,19 @@ func evalFaulty2(p *program, v, force0, force1 [][2]uint64) {
 			r0, r1 = x[0]&y[0], x[1]&y[1]
 		case opNand2:
 			x, y := &v[a[i]], &v[b[i]]
-			r0, r1 = ^(x[0]&y[0]), ^(x[1]&y[1])
+			r0, r1 = ^(x[0] & y[0]), ^(x[1] & y[1])
 		case opOr2:
 			x, y := &v[a[i]], &v[b[i]]
 			r0, r1 = x[0]|y[0], x[1]|y[1]
 		case opNor2:
 			x, y := &v[a[i]], &v[b[i]]
-			r0, r1 = ^(x[0]|y[0]), ^(x[1]|y[1])
+			r0, r1 = ^(x[0] | y[0]), ^(x[1] | y[1])
 		case opXor2:
 			x, y := &v[a[i]], &v[b[i]]
 			r0, r1 = x[0]^y[0], x[1]^y[1]
 		case opXnor2:
 			x, y := &v[a[i]], &v[b[i]]
-			r0, r1 = ^(x[0]^y[0]), ^(x[1]^y[1])
+			r0, r1 = ^(x[0] ^ y[0]), ^(x[1] ^ y[1])
 		case opAndN, opNandN:
 			r0, r1 = ^uint64(0), ^uint64(0)
 			for _, f := range arena[a[i]:b[i]] {
@@ -162,19 +163,19 @@ func evalFaulty4(p *program, v, force0, force1 [][4]uint64) {
 			r0, r1, r2, r3 = x[0]&y[0], x[1]&y[1], x[2]&y[2], x[3]&y[3]
 		case opNand2:
 			x, y := &v[a[i]], &v[b[i]]
-			r0, r1, r2, r3 = ^(x[0]&y[0]), ^(x[1]&y[1]), ^(x[2]&y[2]), ^(x[3]&y[3])
+			r0, r1, r2, r3 = ^(x[0] & y[0]), ^(x[1] & y[1]), ^(x[2] & y[2]), ^(x[3] & y[3])
 		case opOr2:
 			x, y := &v[a[i]], &v[b[i]]
 			r0, r1, r2, r3 = x[0]|y[0], x[1]|y[1], x[2]|y[2], x[3]|y[3]
 		case opNor2:
 			x, y := &v[a[i]], &v[b[i]]
-			r0, r1, r2, r3 = ^(x[0]|y[0]), ^(x[1]|y[1]), ^(x[2]|y[2]), ^(x[3]|y[3])
+			r0, r1, r2, r3 = ^(x[0] | y[0]), ^(x[1] | y[1]), ^(x[2] | y[2]), ^(x[3] | y[3])
 		case opXor2:
 			x, y := &v[a[i]], &v[b[i]]
 			r0, r1, r2, r3 = x[0]^y[0], x[1]^y[1], x[2]^y[2], x[3]^y[3]
 		case opXnor2:
 			x, y := &v[a[i]], &v[b[i]]
-			r0, r1, r2, r3 = ^(x[0]^y[0]), ^(x[1]^y[1]), ^(x[2]^y[2]), ^(x[3]^y[3])
+			r0, r1, r2, r3 = ^(x[0] ^ y[0]), ^(x[1] ^ y[1]), ^(x[2] ^ y[2]), ^(x[3] ^ y[3])
 		case opAndN, opNandN:
 			r0, r1, r2, r3 = ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
 			for _, f := range arena[a[i]:b[i]] {
@@ -246,24 +247,24 @@ func evalFaulty8(p *program, v, force0, force1 [][8]uint64) {
 			r4, r5, r6, r7 = x[4]&y[4], x[5]&y[5], x[6]&y[6], x[7]&y[7]
 		case opNand2:
 			x, y := &v[a[i]], &v[b[i]]
-			r0, r1, r2, r3 = ^(x[0]&y[0]), ^(x[1]&y[1]), ^(x[2]&y[2]), ^(x[3]&y[3])
-			r4, r5, r6, r7 = ^(x[4]&y[4]), ^(x[5]&y[5]), ^(x[6]&y[6]), ^(x[7]&y[7])
+			r0, r1, r2, r3 = ^(x[0] & y[0]), ^(x[1] & y[1]), ^(x[2] & y[2]), ^(x[3] & y[3])
+			r4, r5, r6, r7 = ^(x[4] & y[4]), ^(x[5] & y[5]), ^(x[6] & y[6]), ^(x[7] & y[7])
 		case opOr2:
 			x, y := &v[a[i]], &v[b[i]]
 			r0, r1, r2, r3 = x[0]|y[0], x[1]|y[1], x[2]|y[2], x[3]|y[3]
 			r4, r5, r6, r7 = x[4]|y[4], x[5]|y[5], x[6]|y[6], x[7]|y[7]
 		case opNor2:
 			x, y := &v[a[i]], &v[b[i]]
-			r0, r1, r2, r3 = ^(x[0]|y[0]), ^(x[1]|y[1]), ^(x[2]|y[2]), ^(x[3]|y[3])
-			r4, r5, r6, r7 = ^(x[4]|y[4]), ^(x[5]|y[5]), ^(x[6]|y[6]), ^(x[7]|y[7])
+			r0, r1, r2, r3 = ^(x[0] | y[0]), ^(x[1] | y[1]), ^(x[2] | y[2]), ^(x[3] | y[3])
+			r4, r5, r6, r7 = ^(x[4] | y[4]), ^(x[5] | y[5]), ^(x[6] | y[6]), ^(x[7] | y[7])
 		case opXor2:
 			x, y := &v[a[i]], &v[b[i]]
 			r0, r1, r2, r3 = x[0]^y[0], x[1]^y[1], x[2]^y[2], x[3]^y[3]
 			r4, r5, r6, r7 = x[4]^y[4], x[5]^y[5], x[6]^y[6], x[7]^y[7]
 		case opXnor2:
 			x, y := &v[a[i]], &v[b[i]]
-			r0, r1, r2, r3 = ^(x[0]^y[0]), ^(x[1]^y[1]), ^(x[2]^y[2]), ^(x[3]^y[3])
-			r4, r5, r6, r7 = ^(x[4]^y[4]), ^(x[5]^y[5]), ^(x[6]^y[6]), ^(x[7]^y[7])
+			r0, r1, r2, r3 = ^(x[0] ^ y[0]), ^(x[1] ^ y[1]), ^(x[2] ^ y[2]), ^(x[3] ^ y[3])
+			r4, r5, r6, r7 = ^(x[4] ^ y[4]), ^(x[5] ^ y[5]), ^(x[6] ^ y[6]), ^(x[7] ^ y[7])
 		case opAndN, opNandN:
 			r0, r1, r2, r3 = ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
 			r4, r5, r6, r7 = ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
