@@ -35,15 +35,11 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "which table/figure to regenerate (1, f4, f1b, 9, 10, 11, 12, f8, all)")
 	circuits := flag.String("circuits", "", "comma-separated circuit subset (default: the paper's list)")
 	seed := flag.Int64("seed", 1, "random seed for Saturate_Network")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned text")
-	flag.Parse()
-
-	sel := selectCircuits(*circuits)
-	run := func(name string, fn func() *report.Table) {
-		t := fn()
+	var sel []string
+	write := func(t *report.Table) {
 		if *csv {
 			if err := t.WriteCSV(os.Stdout); err != nil {
 				fatal(err)
@@ -52,45 +48,40 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println()
-		_ = name
 	}
+	// -table all emits every output in this order.
+	outputs := []struct {
+		name string
+		emit func()
+	}{
+		{"1", func() { write(table1()) }},
+		{"f4", figure4},
+		{"f1b", figure1b},
+		{"9", func() { write(table9(sel)) }},
+		{"10", func() { write(table1011(sel, 16, *seed)) }},
+		{"11", func() { write(table1011(sel24(sel), 24, *seed)) }},
+		{"12", func() { write(table12(sel, *seed)) }},
+		{"f8", func() { figure8(sel, *seed) }},
+		{"sa", func() { write(tableSA(*seed)) }},
+		{"stability", func() { write(tableStability()) }},
+		{"pet", func() { write(tablePET(*seed)) }},
+	}
+	var names []string
+	for _, o := range outputs {
+		names = append(names, o.name)
+	}
+	table := flag.String("table", "all", "which table/figure to regenerate ("+strings.Join(names, ", ")+", all)")
+	flag.Parse()
 
-	switch *table {
-	case "1":
-		run("1", table1)
-	case "f4":
-		figure4()
-	case "f1b":
-		figure1b()
-	case "9":
-		run("9", func() *report.Table { return table9(sel) })
-	case "10":
-		run("10", func() *report.Table { return table1011(sel, 16, *seed) })
-	case "11":
-		run("11", func() *report.Table { return table1011(sel24(sel), 24, *seed) })
-	case "12":
-		run("12", func() *report.Table { return table12(sel, *seed) })
-	case "f8":
-		figure8(sel, *seed)
-	case "sa":
-		run("sa", func() *report.Table { return tableSA(*seed) })
-	case "stability":
-		run("stability", func() *report.Table { return tableStability() })
-	case "pet":
-		run("pet", func() *report.Table { return tablePET(*seed) })
-	case "all":
-		run("1", table1)
-		figure4()
-		figure1b()
-		run("9", func() *report.Table { return table9(sel) })
-		run("10", func() *report.Table { return table1011(sel, 16, *seed) })
-		run("11", func() *report.Table { return table1011(sel24(sel), 24, *seed) })
-		run("12", func() *report.Table { return table12(sel, *seed) })
-		figure8(sel, *seed)
-		run("sa", func() *report.Table { return tableSA(*seed) })
-		run("stability", func() *report.Table { return tableStability() })
-		run("pet", func() *report.Table { return tablePET(*seed) })
-	default:
+	sel = selectCircuits(*circuits)
+	found := false
+	for _, o := range outputs {
+		if *table == "all" || *table == o.name {
+			o.emit()
+			found = true
+		}
+	}
+	if !found {
 		fatal(fmt.Errorf("unknown -table %q", *table))
 	}
 }

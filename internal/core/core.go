@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/cbit"
@@ -95,7 +96,23 @@ type AreaReport struct {
 // Saving returns the Table 12 percentage-point saving of retiming.
 func (a AreaReport) Saving() float64 { return a.RatioNonRetimed - a.RatioRetimed }
 
-// Phases breaks the compilation time down per pipeline stage.
+// The pipeline's phase names, in pipeline order: parse, Table 2 STEPs 1-2
+// (graph, scc), Saturate_Network (saturate), Make_Group (group),
+// Assign_CBIT/Refine (assign), and the retiming solver (retime). Every
+// timing sink — trace spans, latency histograms, report trailers, the run
+// ledger — takes its names from here.
+const (
+	PhaseParse    = "parse"
+	PhaseGraph    = "graph"
+	PhaseSCC      = "scc"
+	PhaseSaturate = "saturate"
+	PhaseGroup    = "group"
+	PhaseAssign   = "assign"
+	PhaseRetime   = "retime"
+)
+
+// Phases breaks the compilation time down per pipeline phase after parse
+// (parse is timed by whoever loads the circuit).
 type Phases struct {
 	Graph    time.Duration
 	SCC      time.Duration
@@ -103,6 +120,50 @@ type Phases struct {
 	Group    time.Duration
 	Assign   time.Duration
 	Retime   time.Duration
+}
+
+// Each calls fn with every phase's name and duration, in pipeline order.
+func (p Phases) Each(fn func(name string, d time.Duration)) {
+	fn(PhaseGraph, p.Graph)
+	fn(PhaseSCC, p.SCC)
+	fn(PhaseSaturate, p.Saturate)
+	fn(PhaseGroup, p.Group)
+	fn(PhaseAssign, p.Assign)
+	fn(PhaseRetime, p.Retime)
+}
+
+// Add accumulates q into p phase by phase.
+func (p *Phases) Add(q Phases) {
+	p.Graph += q.Graph
+	p.SCC += q.SCC
+	p.Saturate += q.Saturate
+	p.Group += q.Group
+	p.Assign += q.Assign
+	p.Retime += q.Retime
+}
+
+// Format renders the phases as "graph 1ms, scc 2ms, ...", each duration
+// rounded to a multiple of round (0 leaves it exact).
+func (p Phases) Format(round time.Duration) string {
+	var b strings.Builder
+	p.Each(func(name string, d time.Duration) {
+		if b.Len() > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%s %v", name, d.Round(round))
+	})
+	return b.String()
+}
+
+// StartPhase opens the trace span "<phase> <circuit>" and returns the
+// function that ends it and reports the phase's wall time.
+func StartPhase(ctx context.Context, phase, circuit string) (end func() time.Duration) {
+	sp := obs.Start(ctx, "stage", phase+" "+circuit)
+	begin := time.Now()
+	return func() time.Duration {
+		sp.End()
+		return time.Since(begin)
+	}
 }
 
 // KernelCounters are the hot-kernel work counters of one compilation — the
@@ -264,9 +325,9 @@ func Compile(ctx context.Context, c *netlist.Circuit, opt Options) (*Result, err
 	}
 
 	// Parse (normalization happens here, once) and STEPs 1-2.
-	psp := obs.Start(ctx, "stage", "parse "+c.Name)
+	endParse := StartPhase(ctx, PhaseParse, c.Name)
 	p, err := NewParsed(c)
-	psp.End()
+	endParse()
 	if err != nil {
 		return nil, fmt.Errorf("core: building graph: %w", err)
 	}
@@ -284,19 +345,13 @@ func Compile(ctx context.Context, c *netlist.Circuit, opt Options) (*Result, err
 	// STEPs 3b-3c and pricing, plus the artifact-layer lint gate.
 	res, err := finish(ctx, s, opt, lintDiags)
 	if res != nil {
-		res.Phases.Graph = a.GraphTime
-		res.Phases.SCC = a.SCCTime
-		res.Phases.Saturate = s.SaturateTime
+		res.Phases.Add(a.Phases)
+		res.Phases.Add(s.Phases)
 		if err == nil {
 			res.Elapsed = time.Since(start)
 		}
 	}
 	return res, err
-}
-
-func lap(since time.Time) (time.Duration, time.Time) {
-	now := time.Now()
-	return now.Sub(since), now
 }
 
 func priceAreas(c *netlist.Circuit, g *graph.G, scc *graph.SCCInfo, p *partition.Result, sol *retime.Solution) AreaReport {

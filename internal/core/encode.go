@@ -15,7 +15,7 @@ package core
 // must match the original build byte-for-byte downstream (SCC member order,
 // flow vectors) is serialized verbatim.
 //
-// Phase timings (GraphTime, SaturateTime, …) are deliberately not
+// Phase timings (the artifacts' Phases fields) are deliberately not
 // persisted: they describe the build that produced the artifact, and a
 // disk hit did not do that work. Decoded artifacts report zero timings,
 // exactly like a memory-tier cache hit.

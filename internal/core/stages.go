@@ -31,7 +31,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/lint"
 	"repro/internal/netlist"
-	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/retime"
 )
@@ -108,10 +107,9 @@ type Analyzed struct {
 	scc    *graph.SCCInfo
 	key    string
 
-	// GraphTime and SCCTime record what the two analysis phases cost when
-	// this artifact was built (informational; a cache hit costs nothing).
-	GraphTime time.Duration
-	SCCTime   time.Duration
+	// Phases records what the graph and scc phases cost when this artifact
+	// was built (informational; a cache hit costs nothing).
+	Phases Phases
 }
 
 // Analyze builds the graph and SCC artifact for a parsed circuit.
@@ -125,23 +123,20 @@ func Analyze(ctx context.Context, p *Parsed) (*Analyzed, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: building graph: %w", err)
 	}
-	sp := obs.Start(ctx, "stage", "analyze "+p.c.Name)
-	defer sp.End()
-	mark := time.Now()
+	a := &Analyzed{parsed: p, key: p.AnalyzeKey()}
+	end := StartPhase(ctx, PhaseGraph, p.c.Name)
 	g, err := graph.FromCircuit(p.c)
+	a.Phases.Graph = end()
 	if err != nil {
 		return nil, fmt.Errorf("core: building graph: %w", err)
 	}
-	graphTime, mark := lap(mark)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: SCC: %w", err)
 	}
-	scc := g.SCC()
-	sccTime, _ := lap(mark)
-	return &Analyzed{
-		parsed: p, g: g, scc: scc, key: p.AnalyzeKey(),
-		GraphTime: graphTime, SCCTime: sccTime,
-	}, nil
+	end = StartPhase(ctx, PhaseSCC, p.c.Name)
+	a.g, a.scc = g, g.SCC()
+	a.Phases.SCC = end()
+	return a, nil
 }
 
 // Parsed returns the upstream artifact.
@@ -174,8 +169,8 @@ type Saturated struct {
 	res      *flow.Result
 	key      string
 
-	// SaturateTime records the Dijkstra saturation cost at build time.
-	SaturateTime time.Duration
+	// Phases records the Dijkstra saturation cost at build time.
+	Phases Phases
 }
 
 // SaturateNetwork runs Saturate_Network over an analyzed circuit. cfg must
@@ -184,17 +179,15 @@ func SaturateNetwork(ctx context.Context, a *Analyzed, cfg flow.Config) (*Satura
 	if a == nil {
 		return nil, errors.New("core: nil analyzed artifact")
 	}
-	sp := obs.Start(ctx, "stage", "saturate "+a.parsed.c.Name)
-	defer sp.End()
-	mark := time.Now()
+	end := StartPhase(ctx, PhaseSaturate, a.parsed.c.Name)
 	fres, err := flow.Saturate(ctx, a.g, cfg)
+	d := end()
 	if err != nil {
 		return nil, fmt.Errorf("core: saturate network: %w", err)
 	}
-	saturateTime, _ := lap(mark)
 	return &Saturated{
 		analyzed: a, cfg: cfg, res: fres, key: a.SaturateKey(cfg),
-		SaturateTime: saturateTime,
+		Phases: Phases{Saturate: d},
 	}, nil
 }
 
@@ -267,9 +260,8 @@ type Partitioned struct {
 	merges    []partition.MergeTrace
 	key       string
 
-	// GroupTime and AssignTime record the phase costs at build time.
-	GroupTime  time.Duration
-	AssignTime time.Duration
+	// Phases records the group and assign costs at build time.
+	Phases Phases
 }
 
 // MakePartition clusters a saturated circuit under opt's input constraint
@@ -288,35 +280,32 @@ func MakePartition(ctx context.Context, s *Saturated, opt Options) (*Partitioned
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: make group: %w", err)
 	}
-	sp := obs.Start(ctx, "stage", "partition "+s.analyzed.parsed.c.Name)
-	defer sp.End()
-	mark := time.Now()
+	name := s.analyzed.parsed.c.Name
+	end := StartPhase(ctx, PhaseGroup, name)
 	d := append([]float64(nil), s.res.D...)
 	pres, err := partition.MakeGroup(s.analyzed.g, s.analyzed.scc, d,
 		partition.Options{LK: opt.LK, Beta: opt.Beta, Locked: opt.Locked})
+	group := end()
 	if err != nil {
 		return nil, fmt.Errorf("core: make group: %w", err)
 	}
-	groupTime, mark := lap(mark)
+	pt := &Partitioned{saturated: s, part: pres, key: s.PartitionKey(opt), Phases: Phases{Group: group}}
 
-	var merges []partition.MergeTrace
 	if !opt.SkipAssign {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("core: assign CBIT: %w", err)
 		}
-		merges, err = partition.AssignCBIT(pres, opt.LK)
+		end = StartPhase(ctx, PhaseAssign, name)
+		pt.merges, err = partition.AssignCBIT(pres, opt.LK)
+		if err == nil && opt.RefinePasses > 0 {
+			partition.Refine(pres, opt.LK, opt.RefinePasses)
+		}
+		pt.Phases.Assign = end()
 		if err != nil {
 			return nil, fmt.Errorf("core: assign CBIT: %w", err)
 		}
-		if opt.RefinePasses > 0 {
-			partition.Refine(pres, opt.LK, opt.RefinePasses)
-		}
 	}
-	assignTime, _ := lap(mark)
-	return &Partitioned{
-		saturated: s, part: pres, merges: merges, key: s.PartitionKey(opt),
-		GroupTime: groupTime, AssignTime: assignTime,
-	}, nil
+	return pt, nil
 }
 
 // Saturated returns the upstream artifact.
@@ -354,9 +343,9 @@ type Priced struct {
 	areas       AreaReport
 	key         string
 
-	// RetimeTime records the solver cost at build time (zero when the
+	// Phases records the retime solver cost at build time (zero when the
 	// solver was skipped).
-	RetimeTime time.Duration
+	Phases Phases
 }
 
 // Price runs the retiming solver (when enabled and within the node limit)
@@ -369,8 +358,6 @@ func Price(ctx context.Context, pt *Partitioned, opt Options) (*Priced, error) {
 		return nil, errors.New("core: nil partitioned artifact")
 	}
 	s := pt.saturated
-	sp := obs.Start(ctx, "stage", "price "+s.analyzed.parsed.c.Name)
-	defer sp.End()
 	pr := &Priced{partitioned: pt, key: pt.PriceKey(opt)}
 	if opt.SolveRetiming {
 		limit := opt.MaxSolveNodes
@@ -378,14 +365,14 @@ func Price(ctx context.Context, pt *Partitioned, opt Options) (*Priced, error) {
 			limit = defaultMaxSolveNodes
 		}
 		if s.analyzed.g.NumNodes() <= limit {
-			mark := time.Now()
+			end := StartPhase(ctx, PhaseRetime, s.analyzed.parsed.c.Name)
 			sol, cg, err := solveRetiming(ctx, s.analyzed.g, pt.part, s.res)
+			pr.Phases.Retime = end()
 			if err != nil {
 				return nil, fmt.Errorf("core: retiming solver: %w", err)
 			}
 			pr.retiming = sol
 			pr.combGraph = cg
-			pr.RetimeTime, _ = lap(mark)
 		}
 	}
 	pr.areas = priceAreas(s.Circuit(), s.analyzed.g, s.analyzed.scc, pt.part, pr.retiming)
@@ -463,9 +450,8 @@ func finish(ctx context.Context, s *Saturated, opt Options, lintDiags []lint.Dia
 		CombGraph: pr.combGraph,
 		Areas:     pr.areas,
 	}
-	res.Phases.Group = pt.GroupTime
-	res.Phases.Assign = pt.AssignTime
-	res.Phases.Retime = pr.RetimeTime
+	res.Phases = pt.Phases
+	res.Phases.Add(pr.Phases)
 	res.Counters = collectCounters(s, pt, pr)
 
 	// The artifact-layer lint gate: a violated partition invariant or an

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sweep"
 )
@@ -93,9 +94,8 @@ type RunSummary struct {
 	// Jobs and Failed count the run's work units (1/0 for single-job
 	// kinds unless the job failed).
 	Jobs, Failed int
-	// Phases sums the per-phase wall time across the run, keyed by core
-	// phase name (graph, scc, saturate, group, assign, retime).
-	Phases map[string]time.Duration
+	// Phases sums the per-phase wall time across the run.
+	Phases core.Phases
 	// Metrics is the deterministic counter/gauge table of the run.
 	Metrics *obs.Metrics
 	// Latency holds the run's latency histograms (nil histogram set when
@@ -103,22 +103,4 @@ type RunSummary struct {
 	Latency *obs.HistogramSet
 	// Cache reports the run's artifact-cache traffic (sweep kinds only).
 	Cache *sweep.CacheStats
-}
-
-// phaseMap flattens a core phase struct into the summary's named map,
-// dropping zero phases so cached-away stages don't read as instant work.
-func phaseMap(graph, scc, saturate, group, assign, retimeD time.Duration) map[string]time.Duration {
-	m := make(map[string]time.Duration, 6)
-	for _, p := range []struct {
-		name string
-		d    time.Duration
-	}{
-		{"graph", graph}, {"scc", scc}, {"saturate", saturate},
-		{"group", group}, {"assign", assign}, {"retime", retimeD},
-	} {
-		if p.d > 0 {
-			m[p.name] = p.d
-		}
-	}
-	return m
 }

@@ -145,12 +145,14 @@ func NewRecord(spec *jobspec.Spec, sum *jobspec.RunSummary) *Record {
 		Failed:      sum.Failed,
 		Cache:       sum.Cache,
 	}
-	if len(sum.Phases) > 0 {
-		rec.PhasesNS = make(map[string]int64, len(sum.Phases))
-		for name, d := range sum.Phases {
+	sum.Phases.Each(func(name string, d time.Duration) {
+		if d > 0 {
+			if rec.PhasesNS == nil {
+				rec.PhasesNS = make(map[string]int64)
+			}
 			rec.PhasesNS[name] = int64(d)
 		}
-	}
+	})
 	rec.Latency = sum.Latency.Summaries()
 	if m := sum.Metrics; m != nil {
 		if len(m.Counters) > 0 {

@@ -2,11 +2,14 @@ package ledger
 
 import (
 	"bytes"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cas"
+	"repro/internal/core"
 	"repro/internal/jobspec"
 	"repro/internal/obs"
 )
@@ -31,7 +34,7 @@ func testSummary(wall time.Duration) *jobspec.RunSummary {
 	hs.Observe("latency.campaign.batch.triage", wall/5)
 	return &jobspec.RunSummary{
 		Kind: jobspec.KindCover, Wall: wall, Jobs: 1,
-		Phases:  map[string]time.Duration{"saturate": wall / 3, "retime": wall / 7},
+		Phases:  core.Phases{Saturate: wall / 3, Retime: wall / 7},
 		Metrics: m, Latency: hs,
 	}
 }
@@ -279,5 +282,29 @@ func TestRecordDeterministicModuloTiming(t *testing.T) {
 	bv, _ := b.Metric("counter.campaign.faults")
 	if av != bv || a.Fingerprint != b.Fingerprint || a.Jobs != b.Jobs {
 		t.Fatal("non-timing fields differ between identical runs")
+	}
+}
+
+// PhasesNS carries the core phase names of every phase that took time.
+func TestRecordPhasesFromCoreNames(t *testing.T) {
+	sum := testSummary(time.Second)
+	var want []string
+	sum.Phases.Each(func(name string, d time.Duration) {
+		if d > 0 {
+			want = append(want, name)
+		}
+	})
+	rec := NewRecord(testSpec(t, "s27"), sum)
+	got := make([]string, 0, len(rec.PhasesNS))
+	for name := range rec.PhasesNS {
+		got = append(got, name)
+	}
+	sort.Strings(got)
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) || len(want) != 2 {
+		t.Errorf("PhasesNS keys = %v, want %v", got, want)
+	}
+	if rec.PhasesNS["saturate"] != int64(sum.Phases.Saturate) {
+		t.Errorf("PhasesNS[saturate] = %d, want %d", rec.PhasesNS["saturate"], sum.Phases.Saturate)
 	}
 }

@@ -64,6 +64,32 @@ func TestHistogramQuantiles(t *testing.T) {
 	if h.Sum() != wantSum {
 		t.Errorf("sum = %d, want %d", h.Sum(), wantSum)
 	}
+	// The nearest rank is ⌈q·n⌉: p99 of a small sample is its maximum,
+	// not the fill below it.
+	for _, c := range []struct {
+		fills []time.Duration
+		want  int64
+	}{
+		{[]time.Duration{20 * time.Microsecond, 5 * time.Millisecond}, BucketUpper(bucketIndex(5 * time.Millisecond))},
+		{append(repeat(time.Microsecond, 49), time.Second), BucketUpper(bucketIndex(time.Second))},
+	} {
+		var h Histogram
+		for _, d := range c.fills {
+			h.Observe(d)
+		}
+		if got := h.Quantile(0.99); got != c.want {
+			t.Errorf("%d fills: p99 = %d, want %d", len(c.fills), got, c.want)
+		}
+	}
+	// An exact rank stays exact despite float error: 0.07·100 evaluates
+	// to 7.000000000000001, and the 7th of 100 fills is the last 1 ns one.
+	var e Histogram
+	for _, d := range append(repeat(1, 7), repeat(time.Microsecond, 93)...) {
+		e.Observe(d)
+	}
+	if got, want := e.Quantile(0.07), BucketUpper(1); got != want {
+		t.Errorf("p7 of 100 = %d, want %d", got, want)
+	}
 }
 
 func TestHistogramMergeOrderIndependent(t *testing.T) {
@@ -128,8 +154,8 @@ func TestHistogramSetTableDeterministic(t *testing.T) {
 		}
 		return buf.String()
 	}
-	a := render([]string{"latency.phase.parse", "latency.sweep.job", "latency.phase.price"})
-	b := render([]string{"latency.sweep.job", "latency.phase.price", "latency.phase.parse"})
+	a := render([]string{"latency.phase.parse", "latency.sweep.job", "latency.phase.retime"})
+	b := render([]string{"latency.sweep.job", "latency.phase.retime", "latency.phase.parse"})
 	if a != b {
 		t.Fatalf("table depends on fill order:\n%s\n---\n%s", a, b)
 	}
@@ -154,4 +180,12 @@ func TestHistogramSetMerge(t *testing.T) {
 	if got := a.Names(); len(got) != 2 || got[0] != "x" || got[1] != "y" {
 		t.Fatalf("names = %v", got)
 	}
+}
+
+func repeat(d time.Duration, n int) []time.Duration {
+	out := make([]time.Duration, n)
+	for i := range out {
+		out[i] = d
+	}
+	return out
 }

@@ -14,7 +14,8 @@ package serve
 //	GET    /healthz             liveness
 //	/debug/pprof/*              net/http/pprof (only under Config.Pprof)
 //
-// Error bodies are always {"error": "..."}; a 429 carries Retry-After.
+// Error bodies are always {"error": "..."}; a 429 carries Retry-After. A
+// spec whose circuit reference names a file is refused with 400.
 
 import (
 	"encoding/json"
@@ -24,6 +25,7 @@ import (
 	"strconv"
 
 	"repro/internal/jobspec"
+	"repro/internal/sweep"
 )
 
 // apiError is a transport-level failure: an HTTP status plus a message for
@@ -81,6 +83,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, &apiError{status: http.StatusBadRequest, msg: err.Error()})
 		return
 	}
+	// Rejected before the job exists, so no cache lookup can serve a file
+	// that a CLI run sharing the cache directory parsed.
+	if name := fileCircuit(spec); name != "" {
+		writeErr(w, &apiError{status: http.StatusBadRequest,
+			msg: fmt.Sprintf("circuit %q is a file reference; merced serve loads built-in circuits only", name)})
+		return
+	}
 	j, aerr := s.submit(spec)
 	if aerr != nil {
 		writeErr(w, aerr)
@@ -89,6 +98,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	st, _, _ := j.snapshot()
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	writeJSON(w, http.StatusCreated, map[string]string{"id": j.id, "state": string(st)})
+}
+
+// fileCircuit returns the first circuit reference in spec that
+// sweep.LoadCircuit would open as a file, or "". The daemon never reads
+// server files on a client's behalf: a parse error would echo their
+// contents.
+func fileCircuit(spec *jobspec.Spec) string {
+	var refs []string
+	if c := spec.Compile; c != nil {
+		refs = append(refs, c.Circuit)
+	}
+	if c := spec.Cover; c != nil {
+		refs = append(refs, c.Circuit)
+	}
+	if sw := spec.Sweep; sw != nil {
+		refs = append(refs, sw.Circuits...)
+		for _, j := range sw.Jobs {
+			refs = append(refs, j.Circuit)
+		}
+	}
+	for _, name := range refs {
+		if sweep.IsCircuitFile(name) {
+			return name
+		}
+	}
+	return ""
 }
 
 // jobOr404 resolves {id}, answering 404 itself when unknown.

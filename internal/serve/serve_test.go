@@ -14,6 +14,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -480,5 +483,52 @@ func TestFailedJobReportsError(t *testing.T) {
 	code, _, body := getBody(t, ts.URL+"/v1/jobs/"+id+"/result")
 	if code != http.StatusInternalServerError {
 		t.Errorf("failed job result: HTTP %d (%s), want 500", code, body)
+	}
+}
+
+// TestSubmitRejectsFileCircuits pins the trust boundary: a circuit
+// reference that LoadCircuit would open as a file is refused at submit,
+// for every kind and field that carries one, without reading the file or
+// creating a job.
+func TestSubmitRejectsFileCircuits(t *testing.T) {
+	const token = "secret-token-abc123"
+	path := filepath.Join(t.TempDir(), "secret.txt")
+	if err := os.WriteFile(path, []byte(token+"\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1})
+	defer s.Drain(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	ref := strconv.Quote(path)
+	for _, spec := range []string{
+		`{"v":1,"kind":"compile","compile":{"circuit":` + ref + `,"lk":3}}`,
+		`{"v":1,"kind":"cover","cover":{"circuit":` + ref + `,"lk":3}}`,
+		`{"v":1,"kind":"sweep","sweep":{"circuits":["s27",` + ref + `],"lks":[3]}}`,
+		`{"v":1,"kind":"sweep","sweep":{"circuits":["s27"],"lks":[3],"jobs":[{"circuit":` + ref + `,"lk":3}]}}`,
+		`{"v":1,"kind":"compile","compile":{"circuit":"s27.bench","lk":3}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d (%s), want 400", spec, resp.StatusCode, body)
+		}
+		if strings.Contains(string(body), token) {
+			t.Errorf("%s: response leaks the file's contents: %s", spec, body)
+		}
+	}
+	if got := s.Metrics().Counters["serve.submitted"]; got != 0 {
+		t.Errorf("serve.submitted = %d, want no job created", got)
+	}
+	if code, _, _ := getBody(t, ts.URL+"/v1/jobs/j1"); code != http.StatusNotFound {
+		t.Errorf("job j1: HTTP %d, want 404", code)
 	}
 }

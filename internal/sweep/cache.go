@@ -42,7 +42,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netlist"
-	"repro/internal/obs"
 )
 
 // cacheStage identifies which pipeline stage an entry (and its statistics)
@@ -380,13 +379,8 @@ func (c *Cache) Compile(ctx context.Context, name string, load func(string) (*ne
 	}
 	start := time.Now()
 	pv, _, err := cacheStagedArtifact(ctx, c, stageParsed, "parsed:"+name, nil, parsedCodec, func() (any, error) {
-		sp := obs.Start(ctx, "stage", "parse "+name)
-		defer sp.End()
-		cir, err := load(name)
-		if err != nil {
-			return nil, err
-		}
-		return core.NewParsed(cir)
+		p, _, err := parse(ctx, name, load)
+		return p, err
 	})
 	if err != nil {
 		return nil, err

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -166,5 +167,20 @@ func TestProgressCallbackCountsJobs(t *testing.T) {
 	}
 	if calls != len(jobs) || maxDone != len(jobs) {
 		t.Errorf("progress calls = %d, max done = %d, want %d", calls, maxDone, len(jobs))
+	}
+}
+
+// A cold sweep fills one latency histogram per core phase, named from the
+// core vocabulary, plus the whole-job histogram.
+func TestColdSweepHistogramNames(t *testing.T) {
+	rep, err := Run(context.Background(), []Job{{Circuit: "s27", LK: 3, Seed: 1}}, Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"latency.phase.assign", "latency.phase.graph", "latency.phase.group",
+		"latency.phase.parse", "latency.phase.retime", "latency.phase.saturate",
+		"latency.phase.scc", "latency.sweep.job"}
+	if got := rep.Histograms().Names(); !reflect.DeepEqual(got, want) {
+		t.Errorf("histograms = %v, want %v", got, want)
 	}
 }

@@ -126,7 +126,7 @@ type ShardJobResult struct {
 	Kernels   core.KernelCounters   `json:"kernels"`
 	Coverage  *fault.CampaignReport `json:"coverage,omitempty"`
 	ElapsedNS int64                 `json:"elapsed_ns,omitempty"`
-	Phases    *core.Phases          `json:"phases_ns,omitempty"`
+	Phases    core.Phases           `json:"phases_ns,omitzero"`
 }
 
 // ShardReport is one shard's self-describing output document.
@@ -176,8 +176,7 @@ func BuildShardReport(sh Shard, universe []Job, globals []int, rep *Report, cfg 
 		}
 		if !out.NoTiming {
 			e.ElapsedNS = int64(jr.Elapsed)
-			ph := jr.Phases
-			e.Phases = &ph
+			e.Phases = jr.Phases
 		} else if e.Coverage != nil && e.Coverage.Elapsed != 0 {
 			// CampaignReport.Elapsed is observability metadata; drop it so
 			// the shard document stays byte-deterministic under no_timing.
@@ -287,12 +286,10 @@ func MergeShards(shards []*ShardReport) (*Report, ShardOutput, error) {
 				Kernels:   e.Kernels,
 				Coverage:  e.Coverage,
 				Elapsed:   time.Duration(e.ElapsedNS),
+				Phases:    e.Phases,
 			}
 			if e.Error != "" {
 				jr.Err = errors.New(e.Error)
-			}
-			if e.Phases != nil {
-				jr.Phases = *e.Phases
 			}
 			results[e.Index] = jr
 		}

@@ -222,36 +222,30 @@ type Report struct {
 
 // Histograms builds the sweep's latency histograms after the fact, in job
 // order, from the per-job result structs — the same aggregation
-// discipline as Metrics, applied to timing data. Phase fills follow the
-// pipeline: parse (preload computes only), analyze (graph + SCC),
-// saturate, partition (group + assign), price (retime); whole jobs fill
-// latency.sweep.job. Zero phase durations are skipped — they mark stages
-// attributed to another job through the shared-prefix cache. Embedded
-// coverage campaigns contribute their per-batch histograms by merging.
-// The result is timing data: render it only where a timing trailer would
-// render.
+// discipline as Metrics, applied to timing data. Every core phase fills
+// latency.phase.<name> (parse from the preload's computes only); whole
+// jobs fill latency.sweep.job. Zero phase durations are skipped — they
+// mark stages attributed to another job through the shared-prefix
+// cache. Embedded coverage campaigns contribute their per-batch
+// histograms by merging. The result is timing data: render it only where
+// a timing trailer would render.
 func (r *Report) Histograms() *obs.HistogramSet {
 	hs := obs.NewHistogramSet()
-	for _, d := range r.parseTimes {
-		if d > 0 {
-			hs.Observe("latency.phase.parse", d)
-		}
-	}
-	observePhase := func(name string, d time.Duration) {
+	observe := func(name string, d time.Duration) {
 		if d > 0 {
 			hs.Observe(name, d)
 		}
+	}
+	for _, d := range r.parseTimes {
+		observe("latency.phase."+core.PhaseParse, d)
 	}
 	for i := range r.Jobs {
 		jr := &r.Jobs[i]
 		if jr.Err != nil {
 			continue
 		}
-		observePhase("latency.sweep.job", jr.Elapsed)
-		observePhase("latency.phase.analyze", jr.Phases.Graph+jr.Phases.SCC)
-		observePhase("latency.phase.saturate", jr.Phases.Saturate)
-		observePhase("latency.phase.partition", jr.Phases.Group+jr.Phases.Assign)
-		observePhase("latency.phase.price", jr.Phases.Retime)
+		observe("latency.sweep.job", jr.Elapsed)
+		jr.Phases.Each(func(name string, d time.Duration) { observe("latency.phase."+name, d) })
 		if jr.Coverage != nil {
 			hs.Merge(jr.Coverage.Latency)
 		}
@@ -323,16 +317,9 @@ func Run(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 	var parseTimes []time.Duration
 	for i, j := range jobs {
 		v, _, err := cache.getOrComputeStored(stageParsed, "parsed:"+j.Circuit, per, parsedCodec, func() (any, error) {
-			sp := obs.Start(ctx, "stage", "parse "+j.Circuit)
-			defer sp.End()
-			begin := time.Now()
-			c, err := load(j.Circuit)
-			if err != nil {
-				return nil, err
-			}
-			p, err := core.NewParsed(c)
+			p, d, err := parse(ctx, j.Circuit, load)
 			if err == nil {
-				parseTimes = append(parseTimes, time.Since(begin))
+				parseTimes = append(parseTimes, d)
 			}
 			return p, err
 		})
@@ -489,10 +476,10 @@ func compileStaged(ctx context.Context, p *core.Parsed, cache *Cache, per *[3]St
 	r, err := core.CompileFrom(ctx, s, opt)
 	if r != nil {
 		if computedA {
-			r.Phases.Graph, r.Phases.SCC = a.GraphTime, a.SCCTime
+			r.Phases.Add(a.Phases)
 		}
 		if computedS {
-			r.Phases.Saturate = s.SaturateTime
+			r.Phases.Add(s.Phases)
 		}
 	}
 	return r, err
@@ -521,12 +508,7 @@ func aggregate(results []JobResult, workers int, wall time.Duration) Stats {
 			continue
 		}
 		st.Compute += r.Elapsed
-		st.Phases.Graph += r.Phases.Graph
-		st.Phases.SCC += r.Phases.SCC
-		st.Phases.Saturate += r.Phases.Saturate
-		st.Phases.Group += r.Phases.Group
-		st.Phases.Assign += r.Phases.Assign
-		st.Phases.Retime += r.Phases.Retime
+		st.Phases.Add(r.Phases)
 	}
 	if wall > 0 {
 		st.JobsPerSec = float64(st.Jobs) / wall.Seconds()
@@ -534,11 +516,30 @@ func aggregate(results []JobResult, workers int, wall time.Duration) Stats {
 	return st
 }
 
-// LoadCircuit resolves a Job.Circuit reference: a name containing a path
-// separator or ending in ".bench" is parsed as a netlist file; anything
-// else must be a built-in benchmark (s27 or a Table 9 circuit).
+// parse loads the named circuit and wraps it as the pipeline's root
+// artifact under the parse phase's span, returning the phase's wall time.
+func parse(ctx context.Context, name string, load func(string) (*netlist.Circuit, error)) (*core.Parsed, time.Duration, error) {
+	end := core.StartPhase(ctx, core.PhaseParse, name)
+	c, err := load(name)
+	var p *core.Parsed
+	if err == nil {
+		p, err = core.NewParsed(c)
+	}
+	return p, end(), err
+}
+
+// IsCircuitFile reports whether LoadCircuit treats the circuit reference
+// as a netlist file: a name containing a path separator or ending in
+// ".bench".
+func IsCircuitFile(name string) bool {
+	return strings.HasSuffix(name, ".bench") || strings.ContainsRune(name, '/') || strings.ContainsRune(name, os.PathSeparator)
+}
+
+// LoadCircuit resolves a Job.Circuit reference: a file reference (see
+// IsCircuitFile) is parsed as a netlist file; anything else must be a
+// built-in benchmark (s27 or a Table 9 circuit).
 func LoadCircuit(name string) (*netlist.Circuit, error) {
-	if strings.HasSuffix(name, ".bench") || strings.ContainsRune(name, '/') || strings.ContainsRune(name, os.PathSeparator) {
+	if IsCircuitFile(name) {
 		f, err := os.Open(name)
 		if err != nil {
 			return nil, err
