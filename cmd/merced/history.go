@@ -146,6 +146,13 @@ func runHistory(args []string, stdout, stderr io.Writer) int {
 		if err := fs.Parse(rest); err != nil {
 			return 2
 		}
+		gated := splitList(*metrics)
+		for _, name := range gated {
+			if err := ledger.ValidateMetric(name); err != nil {
+				fmt.Fprintf(stderr, "merced history check: %v\n", err)
+				return 2
+			}
+		}
 		led, code := open(*dir)
 		if led == nil {
 			return code
@@ -167,7 +174,7 @@ func runHistory(args []string, stdout, stderr io.Writer) int {
 		}
 		rep, err := ledger.Check(hist, ledger.CheckOptions{
 			Window: *window, ThresholdPct: *threshold,
-			Metrics: splitList(*metrics), MinRuns: *minRuns,
+			Metrics: gated, MinRuns: *minRuns,
 		})
 		if err != nil {
 			return fail(err)

@@ -60,6 +60,23 @@ func TestHistoryCLI(t *testing.T) {
 	coverWithLedger(t, dir)
 	coverWithLedger(t, dir)
 
+	// A name outside the metric grammar is a usage error naming the
+	// name, not a metric that is merely absent from the history.
+	for _, bad := range []string{"countr.flow.trees", "latency.sweep.job.p95"} {
+		var out, errb bytes.Buffer
+		if code := runHistory([]string{"check", "-cache-dir", dir, "-metrics", "wall," + bad}, &out, &errb); code != 2 {
+			t.Fatalf("check -metrics %s: exit %d, want 2\n%s", bad, code, out.String())
+		}
+		if !strings.Contains(errb.String(), bad) {
+			t.Fatalf("check -metrics %s: stderr does not name it: %s", bad, errb.String())
+		}
+	}
+	// A well-formed name no record carries stays "skipped".
+	code, out = history(t, "check", "-cache-dir", dir, "-metrics", "counter.no.such.counter")
+	if code != 0 || !strings.Contains(out, "skipped (metric absent)") {
+		t.Fatalf("absent well-formed metric: exit %d\n%s", code, out)
+	}
+
 	code, out = history(t, "list", "-cache-dir", dir)
 	if code != 0 {
 		t.Fatalf("list exit %d", code)

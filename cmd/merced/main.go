@@ -37,9 +37,9 @@
 //	merced -sweep -circuits small -coverage -format json -no-timing
 //
 // Cover mode runs the parallel fault-coverage campaign over one circuit's
-// partition: every cluster's single stuck-at faults, packed 63 per batch,
-// fanned over `-workers` goroutines with structural collapsing and
-// two-stage fault dropping. The report (text, JSON, or CSV via `-format`)
+// partition: every cluster's single stuck-at faults, packed 255 per batch
+// at the default `-lanes` (64·lanes−1 in general), fanned over `-workers`
+// goroutines with structural collapsing and two-stage fault dropping. The report (text, JSON, or CSV via `-format`)
 // is byte-identical for any worker count when `-no-timing` is set.
 //
 //	merced -cover -circuit s510 -lk 8

@@ -2,12 +2,14 @@ package fault
 
 import "repro/internal/obs"
 
-// AddMetrics folds the campaign's counters into m under the campaign.*
-// prefix. Every value is a pure function of the report, which is itself
-// deterministic for fixed options, so the resulting table is identical for
-// any Workers value. The batch counters do depend on LaneWords (wider
-// batches → fewer of them); the fault/detection counters do not.
-func (r *CampaignReport) AddMetrics(m *obs.Metrics) {
+// Metrics returns the campaign's snapshot: its counters under the
+// campaign.* prefix plus the per-batch latency histograms. Every counter
+// is a pure function of the report, which is itself deterministic for
+// fixed options, so the counter table is identical for any Workers value.
+// The batch counters do depend on LaneWords (wider batches → fewer of
+// them); the fault/detection counters do not.
+func (r *CampaignReport) Metrics() *obs.Metrics {
+	m := obs.NewMetrics()
 	m.Add("campaign.segments", int64(len(r.Segments)))
 	m.Add("campaign.faults", int64(r.Total))
 	m.Add("campaign.detected", int64(r.Detected))
@@ -17,11 +19,6 @@ func (r *CampaignReport) AddMetrics(m *obs.Metrics) {
 	m.Add("campaign.escalation_batches", int64(r.Batches-r.TriageBatches))
 	m.Add("campaign.triage_detected", int64(r.TriageDetected))
 	m.Add("campaign.survivors", int64(r.Survivors))
-}
-
-// Metrics returns a fresh registry holding only this campaign's counters.
-func (r *CampaignReport) Metrics() *obs.Metrics {
-	m := obs.NewMetrics()
-	r.AddMetrics(m)
+	m.Latency.Merge(r.Latency)
 	return m
 }

@@ -69,7 +69,7 @@ func TestCampaignMetricsAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := rep.Metrics().WriteTable(&buf); err != nil {
+		if err := rep.Metrics().WriteTable(&buf, false); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String(), rep

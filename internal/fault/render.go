@@ -99,7 +99,7 @@ func (r *CampaignReport) WriteJSON(w io.Writer, opts RenderOptions) error {
 	if opts.Metrics {
 		out.Metrics = r.Metrics()
 		if opts.Timing {
-			out.Latency = r.Latency.Summaries()
+			out.Latency = out.Metrics.Latency.Summaries()
 		}
 	}
 	enc := json.NewEncoder(w)
@@ -150,16 +150,8 @@ func (r *CampaignReport) WriteText(w io.Writer, opts RenderOptions) error {
 		if _, err := fmt.Fprintln(w); err != nil {
 			return err
 		}
-		if err := r.Metrics().WriteTable(w); err != nil {
+		if err := r.Metrics().WriteTable(w, opts.Timing); err != nil {
 			return err
-		}
-		if opts.Timing && r.Latency.Len() > 0 {
-			if _, err := fmt.Fprintln(w); err != nil {
-				return err
-			}
-			if err := r.Latency.WriteTable(w); err != nil {
-				return err
-			}
 		}
 	}
 	if !opts.Timing {

@@ -148,7 +148,7 @@ func runSweep(ctx context.Context, s *Spec, w io.Writer, rt Runtime, cache *swee
 		rt.OnSummary(&RunSummary{
 			Kind: KindSweep, Wall: st.Wall, Jobs: st.Jobs, Failed: st.Failed,
 			Phases:  st.Phases,
-			Metrics: rep.Metrics(), Latency: rep.Histograms(), Cache: &cs,
+			Metrics: rep.Metrics(), Cache: &cs,
 		})
 	}
 	if sw.Shard != nil {
@@ -213,12 +213,10 @@ func runCover(ctx context.Context, s *Spec, w io.Writer, rt Runtime, cache *swee
 		return err
 	}
 	if rt.OnSummary != nil {
-		m := obs.NewMetrics()
-		rep.AddMetrics(m)
 		rt.OnSummary(&RunSummary{
 			Kind: KindCover, Wall: rep.Elapsed, Jobs: 1,
 			Phases:  r.Phases,
-			Metrics: m, Latency: rep.Latency,
+			Metrics: rep.Metrics(),
 		})
 	}
 	opts := fault.RenderOptions{Timing: !s.Output.NoTiming, Undetected: s.Output.Undetected, Metrics: s.Output.Metrics}
@@ -238,9 +236,9 @@ func runCompile(ctx context.Context, s *Spec, w io.Writer, rt Runtime, cache *sw
 	if err != nil {
 		return err
 	}
+	m := obs.NewMetrics()
+	r.Counters.AddTo(m)
 	if rt.OnSummary != nil {
-		m := obs.NewMetrics()
-		r.Counters.AddTo(m)
 		rt.OnSummary(&RunSummary{
 			Kind: KindCompile, Wall: r.Elapsed, Jobs: 1,
 			Phases:  r.Phases,
@@ -249,10 +247,8 @@ func runCompile(ctx context.Context, s *Spec, w io.Writer, rt Runtime, cache *sw
 	}
 	writeCompileReport(w, r, cp.LK, cp.Verbose)
 	if s.Output.Metrics {
-		m := obs.NewMetrics()
-		r.Counters.AddTo(m)
 		fmt.Fprintln(w)
-		if err := m.WriteTable(w); err != nil {
+		if err := m.WriteTable(w, !s.Output.NoTiming); err != nil {
 			return err
 		}
 	}

@@ -6,8 +6,8 @@ package jobspec
 // render differently (Output) or carry different safety nets (Timeout).
 // The summary is the one struct the execution funnel hands to whoever
 // wants to persist the run (the -ledger flag, the serve daemon): wall
-// time, job counts, phase totals, the deterministic metrics table, and
-// the latency histograms, all pulled from result structs after the fact.
+// time, job counts, phase totals, and the run's metrics snapshot, all
+// pulled from result structs after the fact.
 
 import (
 	"crypto/sha256"
@@ -81,10 +81,10 @@ func (s *Spec) Summary() string {
 
 // RunSummary is the post-run observability bundle Run hands to
 // Runtime.OnSummary: everything a run ledger records about one execution.
-// Metrics and Latency follow the same aggregation discipline as the
-// rendered tables (job-order, post-hoc), so two runs of the same spec
-// produce identical Metrics and differ only in the timing-derived fields
-// (Wall, Phases, Latency).
+// Metrics follows the same aggregation discipline as the rendered tables
+// (job-order, post-hoc), so two runs of the same spec produce identical
+// counters and gauges and differ only in the timing-derived fields (Wall,
+// Phases, Metrics.Latency).
 type RunSummary struct {
 	// Kind echoes the spec kind.
 	Kind Kind
@@ -96,11 +96,9 @@ type RunSummary struct {
 	Jobs, Failed int
 	// Phases sums the per-phase wall time across the run.
 	Phases core.Phases
-	// Metrics is the deterministic counter/gauge table of the run.
+	// Metrics is the run's snapshot: the deterministic counter/gauge table
+	// plus the latency histograms (empty when the kind collects none).
 	Metrics *obs.Metrics
-	// Latency holds the run's latency histograms (nil histogram set when
-	// the kind collects none).
-	Latency *obs.HistogramSet
 	// Cache reports the run's artifact-cache traffic (sweep kinds only).
 	Cache *sweep.CacheStats
 }

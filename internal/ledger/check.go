@@ -8,9 +8,39 @@ package ledger
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
+	"time"
+
+	"repro/internal/core"
 )
+
+// latencyFields are the summary fields a latency.<hist>.<field> metric
+// may name.
+var latencyFields = []string{"p50", "p90", "p99", "count"}
+
+// ValidateMetric rejects a name outside the grammar Metric resolves, so
+// a typo'd gate fails loudly instead of reporting the metric absent. A
+// well-formed name is accepted whether or not any record carries it.
+func ValidateMetric(name string) error {
+	ok := false
+	switch kind, rest, _ := strings.Cut(name, "."); kind {
+	case "wall":
+		ok = name == "wall"
+	case "phase":
+		core.Phases{}.Each(func(p string, _ time.Duration) { ok = ok || rest == p })
+	case "counter", "gauge":
+		ok = rest != ""
+	case "latency":
+		dot := strings.LastIndexByte(rest, '.')
+		ok = dot > 0 && slices.Contains(latencyFields, rest[dot+1:])
+	}
+	if !ok {
+		return fmt.Errorf("unknown metric %q (want wall, phase.<phase>, counter.<name>, gauge.<name> or latency.<histogram>.p50|p90|p99|count)", name)
+	}
+	return nil
+}
 
 // Metric resolves a dotted metric name against the record:
 //
@@ -36,28 +66,12 @@ func (r *Record) Metric(name string) (float64, bool) {
 		v, ok := r.Gauges[strings.TrimPrefix(name, "gauge.")]
 		return v, ok
 	case strings.HasPrefix(name, "latency."):
-		rest := strings.TrimPrefix(name, "latency.")
-		dot := strings.LastIndexByte(rest, '.')
-		if dot < 0 {
-			return 0, false
-		}
 		// Histogram names themselves start with "latency.", so the full
 		// key is the metric name minus the field suffix.
-		hist, field := name[:len(name)-(len(rest)-dot)], rest[dot+1:]
-		s, ok := r.Latency[hist]
-		if !ok {
-			return 0, false
-		}
-		switch field {
-		case "p50":
-			return float64(s.P50NS), true
-		case "p90":
-			return float64(s.P90NS), true
-		case "p99":
-			return float64(s.P99NS), true
-		case "count":
-			return float64(s.Count), true
-		}
+		dot := strings.LastIndexByte(name, '.')
+		s, ok := r.Latency[name[:dot]]
+		v, known := map[string]int64{"p50": s.P50NS, "p90": s.P90NS, "p99": s.P99NS, "count": int64(s.Count)}[name[dot+1:]]
+		return float64(v), ok && known
 	}
 	return 0, false
 }
@@ -76,7 +90,7 @@ func (r *Record) MetricNames() []string {
 		names = append(names, "gauge."+k)
 	}
 	for k := range r.Latency {
-		for _, f := range []string{"p50", "p90", "p99", "count"} {
+		for _, f := range latencyFields {
 			names = append(names, k+"."+f)
 		}
 	}
@@ -199,9 +213,9 @@ type CheckResult struct {
 	DeltaPct float64
 	// Regressed marks DeltaPct > ThresholdPct.
 	Regressed bool
-	// Skipped marks a metric absent from the candidate or from every
-	// baseline run (e.g. gating a latency quantile on a history recorded
-	// before histograms existed).
+	// Skipped marks a well-formed metric absent from the candidate or
+	// from every baseline run (e.g. gating a latency quantile on a
+	// history recorded before histograms existed).
 	Skipped bool
 }
 

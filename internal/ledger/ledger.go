@@ -153,8 +153,8 @@ func NewRecord(spec *jobspec.Spec, sum *jobspec.RunSummary) *Record {
 			rec.PhasesNS[name] = int64(d)
 		}
 	})
-	rec.Latency = sum.Latency.Summaries()
 	if m := sum.Metrics; m != nil {
+		rec.Latency = m.Latency.Summaries()
 		if len(m.Counters) > 0 {
 			rec.Counters = m.Counters
 		}

@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"sort"
 	"strings"
@@ -29,13 +30,12 @@ func testSummary(wall time.Duration) *jobspec.RunSummary {
 	m := obs.NewMetrics()
 	m.Add("campaign.faults", 120)
 	m.Add("campaign.detected", 118)
-	hs := obs.NewHistogramSet()
-	hs.Observe("latency.campaign.batch.triage", wall/10)
-	hs.Observe("latency.campaign.batch.triage", wall/5)
+	m.Observe("latency.campaign.batch.triage", wall/10)
+	m.Observe("latency.campaign.batch.triage", wall/5)
 	return &jobspec.RunSummary{
 		Kind: jobspec.KindCover, Wall: wall, Jobs: 1,
 		Phases:  core.Phases{Saturate: wall / 3, Retime: wall / 7},
-		Metrics: m, Latency: hs,
+		Metrics: m,
 	}
 }
 
@@ -306,5 +306,23 @@ func TestRecordPhasesFromCoreNames(t *testing.T) {
 	}
 	if rec.PhasesNS["saturate"] != int64(sum.Phases.Saturate) {
 		t.Errorf("PhasesNS[saturate] = %d, want %d", rec.PhasesNS["saturate"], sum.Phases.Saturate)
+	}
+}
+
+func TestValidateMetric(t *testing.T) {
+	for _, name := range []string{"wall", "phase.saturate", "phase.retime",
+		"counter.flow.trees", "gauge.flow.injected_flow",
+		"latency.sweep.job.p50", "latency.phase.assign.count", "latency.x.p99"} {
+		if err := ValidateMetric(name); err != nil {
+			t.Errorf("ValidateMetric(%q) = %v, want nil", name, err)
+		}
+	}
+	for _, name := range []string{"", "walls", "wall.x", "phase.", "phase.partition",
+		"counter.", "gauge.", "countr.flow.trees", "latency.p50",
+		"latency.sweep.job.p95", "latency.sweep.job"} {
+		err := ValidateMetric(name)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
+			t.Errorf("ValidateMetric(%q) = %v, want an error naming it", name, err)
+		}
 	}
 }

@@ -16,9 +16,10 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -174,15 +175,18 @@ func NewHistogramSet() *HistogramSet {
 	return &HistogramSet{hists: make(map[string]*Histogram)}
 }
 
-// Observe records d into the named histogram, creating it on first use.
-func (hs *HistogramSet) Observe(name string, d time.Duration) {
+// at returns the named histogram, creating it on first use.
+func (hs *HistogramSet) at(name string) *Histogram {
 	h, ok := hs.hists[name]
 	if !ok {
 		h = &Histogram{}
 		hs.hists[name] = h
 	}
-	h.Observe(d)
+	return h
 }
+
+// Observe records d into the named histogram, creating it on first use.
+func (hs *HistogramSet) Observe(name string, d time.Duration) { hs.at(name).Observe(d) }
 
 // Get returns the named histogram, nil if absent.
 func (hs *HistogramSet) Get(name string) *Histogram {
@@ -205,12 +209,7 @@ func (hs *HistogramSet) Names() []string {
 	if hs == nil {
 		return nil
 	}
-	names := make([]string, 0, len(hs.hists))
-	for k := range hs.hists {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Sorted(maps.Keys(hs.hists))
 }
 
 // Merge adds every histogram of other into hs, creating names on demand.
@@ -219,12 +218,7 @@ func (hs *HistogramSet) Merge(other *HistogramSet) {
 		return
 	}
 	for _, name := range other.Names() {
-		h, ok := hs.hists[name]
-		if !ok {
-			h = &Histogram{}
-			hs.hists[name] = h
-		}
-		h.Merge(other.hists[name])
+		hs.at(name).Merge(other.hists[name])
 	}
 }
 
@@ -247,12 +241,7 @@ func (hs *HistogramSet) Summaries() map[string]HistogramSummary {
 // trailer; given identical fills the bytes are identical.
 func (hs *HistogramSet) WriteTable(w io.Writer) error {
 	names := hs.Names()
-	width := len("latency")
-	for _, n := range names {
-		if len(n) > width {
-			width = len(n)
-		}
-	}
+	width := nameWidth("latency", names)
 	if _, err := fmt.Fprintf(w, "%-*s  count  p50  p90  p99\n", width, "latency"); err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestDisabledContextIsInert(t *testing.T) {
@@ -126,10 +127,10 @@ func TestMetricsTableDeterminism(t *testing.T) {
 		return m
 	}
 	var a, b bytes.Buffer
-	if err := build().WriteTable(&a); err != nil {
+	if err := build().WriteTable(&a, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := build().WriteTable(&b); err != nil {
+	if err := build().WriteTable(&b, false); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
@@ -193,5 +194,40 @@ func TestLogger(t *testing.T) {
 	}
 	if strings.Contains(buf.String(), "dropped") {
 		t.Fatal("below-threshold record was emitted")
+	}
+}
+
+func TestMetricsTableLatencyAndGauges(t *testing.T) {
+	m := NewMetrics()
+	m.Add("serve.submitted", 3)
+	m.AddGauge("cache.capacity", 1000000)
+	m.AddGauge("flow.injected_flow", 2.5)
+	var plain bytes.Buffer
+	if err := m.WriteTable(&plain, true); err != nil {
+		t.Fatal(err)
+	}
+	want := `metric              value
+cache.capacity      1000000
+flow.injected_flow  2.5
+serve.submitted     3
+`
+	if plain.String() != want {
+		t.Fatalf("table:\n%s\nwant:\n%s", plain.String(), want)
+	}
+
+	// A histogram renders only under timing, after one blank line.
+	m.Observe("latency.x", time.Millisecond)
+	var untimed, timed bytes.Buffer
+	if err := m.WriteTable(&untimed, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteTable(&timed, true); err != nil {
+		t.Fatal(err)
+	}
+	if untimed.String() != want {
+		t.Fatalf("untimed table carries latency:\n%s", untimed.String())
+	}
+	if !strings.HasPrefix(timed.String(), want+"\nlatency") {
+		t.Fatalf("timed table:\n%s", timed.String())
 	}
 }

@@ -1,17 +1,15 @@
 package obs
 
-// Prometheus text exposition (version 0.0.4) over the same registries the
-// deterministic table renders. The table stays the default everywhere;
-// the exposition is an opt-in content negotiation on the serve daemon,
-// where a scraper wants cumulative buckets and type metadata rather than
-// byte-stable prose. Names are sanitized into the merced_ namespace and
-// rendered in sorted order so the exposition itself is deterministic for
-// deterministic inputs.
+// Prometheus text exposition (version 0.0.4) of a Metrics snapshot. The
+// table stays the default everywhere; the exposition is an opt-in content
+// negotiation on the serve daemon, where a scraper wants cumulative
+// buckets and type metadata rather than byte-stable prose. Names are
+// sanitized into the merced_ namespace and rendered in sorted order so
+// the exposition itself is deterministic for deterministic inputs.
 
 import (
 	"bufio"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -36,105 +34,44 @@ func PromName(name string) string {
 	return b.String()
 }
 
-// PromWriter emits Prometheus text exposition. Errors are sticky: the
-// first write error suppresses further output and is returned by Flush.
-type PromWriter struct {
-	w   *bufio.Writer
-	err error
-}
-
-// NewPromWriter wraps w for exposition output.
-func NewPromWriter(w io.Writer) *PromWriter {
-	return &PromWriter{w: bufio.NewWriter(w)}
-}
-
-func (p *PromWriter) line(s string) {
-	if p.err != nil {
-		return
-	}
-	_, p.err = p.w.WriteString(s)
-	if p.err == nil {
-		p.err = p.w.WriteByte('\n')
-	}
-}
-
-// Counter emits one counter sample with a TYPE line.
-func (p *PromWriter) Counter(name string, v int64) {
-	n := PromName(name)
-	p.line("# TYPE " + n + " counter")
-	p.line(n + " " + strconv.FormatInt(v, 10))
-}
-
-// Gauge emits one gauge sample with a TYPE line.
-func (p *PromWriter) Gauge(name string, v float64) {
-	n := PromName(name)
-	p.line("# TYPE " + n + " gauge")
-	p.line(n + " " + strconv.FormatFloat(v, 'g', -1, 64))
-}
-
 // formatSeconds renders nanoseconds as seconds with full precision.
 func formatSeconds(ns int64) string {
 	return strconv.FormatFloat(float64(ns)/1e9, 'g', -1, 64)
 }
 
-// Histogram emits h as a Prometheus histogram named after the internal
-// metric name with a _seconds unit suffix: cumulative le buckets (in
+// WritePrometheus renders the snapshot as Prometheus text exposition:
+// every counter and gauge in sorted name order, each typed by the map
+// that holds it, then every histogram in sorted name order. A histogram
+// drops its latency. prefix and takes a _seconds suffix, which says the
+// same thing the Prometheus way; it renders as cumulative le buckets (in
 // seconds, converted from the fixed power-of-two nanosecond edges), a
 // +Inf bucket, and _sum/_count samples.
-func (p *PromWriter) Histogram(name string, h *Histogram) {
-	n := PromName(name) + "_seconds"
-	p.line("# TYPE " + n + " histogram")
-	var cum uint64
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
+func (m *Metrics) WritePrometheus(w io.Writer) error {
+	b := bufio.NewWriter(w) // errors are sticky; Flush reports the first
+	for _, name := range m.Names() {
+		n := PromName(name)
+		if c, ok := m.Counters[name]; ok {
+			b.WriteString("# TYPE " + n + " counter\n" + n + " " + strconv.FormatInt(c, 10) + "\n")
+		} else {
+			b.WriteString("# TYPE " + n + " gauge\n" + n + " " + strconv.FormatFloat(m.Gauges[name], 'g', -1, 64) + "\n")
 		}
-		cum += c
-		p.line(n + `_bucket{le="` + formatSeconds(BucketUpper(i)) + `"} ` + strconv.FormatUint(cum, 10))
 	}
-	p.line(n + `_bucket{le="+Inf"} ` + strconv.FormatUint(h.count, 10))
-	p.line(n + "_sum " + formatSeconds(h.sum))
-	p.line(n + "_count " + strconv.FormatUint(h.count, 10))
-}
-
-// Metrics emits every counter and gauge of m, counters first then gauges,
-// each group in sorted name order.
-func (p *PromWriter) Metrics(m *Metrics) {
-	if m == nil {
-		return
+	for _, name := range m.Latency.Names() {
+		h := m.Latency.Get(name)
+		n := PromName(strings.TrimPrefix(name, "latency.")) + "_seconds"
+		b.WriteString("# TYPE " + n + " histogram\n")
+		var cum uint64
+		for i, c := range h.counts {
+			if c == 0 {
+				continue
+			}
+			cum += c
+			b.WriteString(n + `_bucket{le="` + formatSeconds(BucketUpper(i)) + `"} ` + strconv.FormatUint(cum, 10) + "\n")
+		}
+		count := strconv.FormatUint(h.count, 10)
+		b.WriteString(n + `_bucket{le="+Inf"} ` + count + "\n")
+		b.WriteString(n + "_sum " + formatSeconds(h.sum) + "\n")
+		b.WriteString(n + "_count " + count + "\n")
 	}
-	names := make([]string, 0, len(m.Counters))
-	for k := range m.Counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		p.Counter(n, m.Counters[n])
-	}
-	names = names[:0]
-	for k := range m.Gauges {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		p.Gauge(n, m.Gauges[n])
-	}
-}
-
-// Histograms emits every histogram of hs in sorted name order.
-func (p *PromWriter) Histograms(hs *HistogramSet) {
-	if hs == nil {
-		return
-	}
-	for _, n := range hs.Names() {
-		p.Histogram(n, hs.Get(n))
-	}
-}
-
-// Flush drains the buffer and returns the first error encountered.
-func (p *PromWriter) Flush() error {
-	if p.err != nil {
-		return p.err
-	}
-	return p.w.Flush()
+	return b.Flush()
 }

@@ -95,60 +95,44 @@ func parseExposition(t *testing.T, text string) {
 	}
 }
 
-func TestPromWriterExposition(t *testing.T) {
+func TestWritePrometheus(t *testing.T) {
 	m := NewMetrics()
-	m.Add("serve.jobs.submitted", 12)
-	m.Add("serve.jobs.completed", 10)
-	m.AddGauge("serve.queue.length", 2)
-	hs := NewHistogramSet()
-	for i := 0; i < 10; i++ {
-		hs.Observe("serve.job.duration", time.Duration(1000<<uint(i%4)))
-	}
-	hs.Observe("serve.queue.wait", 0)
+	m.Add("serve.submitted", 12)
+	m.AddGauge("cache.capacity", 1000000)
+	m.AddGauge("flow.injected_flow", 2.5)
+	m.Observe("latency.serve.queue.wait", 0)
+	m.Observe("latency.serve.queue.wait", 1500*time.Nanosecond)
+	m.Observe("latency.serve.queue.wait", 2*time.Second)
 
 	var buf bytes.Buffer
-	pw := NewPromWriter(&buf)
-	pw.Metrics(m)
-	pw.Histograms(hs)
-	if err := pw.Flush(); err != nil {
+	if err := m.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	text := buf.String()
-	parseExposition(t, text)
-	for _, want := range []string{
-		"# TYPE merced_serve_jobs_submitted counter",
-		"merced_serve_jobs_submitted 12",
-		"# TYPE merced_serve_queue_length gauge",
-		"# TYPE merced_serve_job_duration_seconds histogram",
-		`merced_serve_job_duration_seconds_bucket{le="+Inf"} 10`,
-		"merced_serve_job_duration_seconds_count 10",
-		`merced_serve_queue_wait_seconds_bucket{le="0"} 1`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q:\n%s", want, text)
-		}
+	want := `# TYPE merced_cache_capacity gauge
+merced_cache_capacity 1e+06
+# TYPE merced_flow_injected_flow gauge
+merced_flow_injected_flow 2.5
+# TYPE merced_serve_submitted counter
+merced_serve_submitted 12
+# TYPE merced_serve_queue_wait_seconds histogram
+merced_serve_queue_wait_seconds_bucket{le="0"} 1
+merced_serve_queue_wait_seconds_bucket{le="2.047e-06"} 2
+merced_serve_queue_wait_seconds_bucket{le="2.147483647"} 3
+merced_serve_queue_wait_seconds_bucket{le="+Inf"} 3
+merced_serve_queue_wait_seconds_sum 2.0000015
+merced_serve_queue_wait_seconds_count 3
+`
+	if got := buf.String(); got != want {
+		t.Fatalf("exposition:\n%s\nwant:\n%s", got, want)
 	}
-
-	// Deterministic: a second render is byte-identical.
-	var buf2 bytes.Buffer
-	pw2 := NewPromWriter(&buf2)
-	pw2.Metrics(m)
-	pw2.Histograms(hs)
-	if err := pw2.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != buf2.String() {
-		t.Fatal("exposition is not deterministic")
-	}
+	parseExposition(t, want)
 }
 
 func TestPromHistogramSum(t *testing.T) {
-	var h Histogram
-	h.Observe(2 * time.Second)
+	m := NewMetrics()
+	m.Observe("x", 2*time.Second)
 	var buf bytes.Buffer
-	pw := NewPromWriter(&buf)
-	pw.Histogram("x", &h)
-	if err := pw.Flush(); err != nil {
+	if err := m.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "merced_x_seconds_sum 2\n") {

@@ -8,7 +8,7 @@ package serve
 //	GET    /v1/jobs/{id}/events SSE progress stream, terminal "done" event
 //	GET    /v1/jobs/{id}/trace  Chrome trace_event JSON ("output.trace" jobs)
 //	DELETE /v1/jobs/{id}        cancel → 202
-//	GET    /metrics             deterministic counter table (text);
+//	GET    /metrics             counter/gauge table (text);
 //	                            ?format=prometheus negotiates the
 //	                            Prometheus text exposition instead
 //	GET    /healthz             liveness
@@ -231,7 +231,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "table":
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		_ = s.Metrics().WriteTable(w)
+		_ = s.Metrics().WriteTable(w, false)
 	case "prometheus":
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = s.WritePrometheus(w)

@@ -179,6 +179,8 @@ func TestPrometheusExposition(t *testing.T) {
 		`merced_serve_job_sweep_seconds_bucket{le="+Inf"} 1`,
 		"# TYPE merced_serve_queue_wait_seconds histogram",
 		"# TYPE merced_runtime_goroutines gauge",
+		"# TYPE merced_serve_jobs_tracked gauge",
+		"# TYPE merced_cache_capacity gauge",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
@@ -190,8 +192,32 @@ func TestPrometheusExposition(t *testing.T) {
 	if !strings.HasPrefix(string(b), "metric") || !strings.Contains(hdr.Get("Content-Type"), "text/plain") {
 		t.Fatalf("default table broken:\n%s", b)
 	}
+	// The table carries no latency section, although the snapshot holds
+	// the histograms the exposition just rendered.
+	if strings.Contains(string(b), "latency") || strings.Contains(string(b), "\n\n") {
+		t.Fatalf("default table carries latency:\n%s", b)
+	}
 	if code, _, _ := getBody(t, ts.URL+"/metrics?format=xml"); code != http.StatusBadRequest {
 		t.Fatalf("unknown format: HTTP %d, want 400", code)
+	}
+}
+
+// Occupancy readings are gauges in the snapshot, yet the table keeps
+// rendering integral readings as integers, even past %g's exponent cut.
+func TestMetricsTableIntegralGauges(t *testing.T) {
+	s, release := newTestServer(t, Config{Workers: 1, CacheSize: 1000000})
+	close(release)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	_, _, b := getBody(t, ts.URL+"/metrics")
+	var line string
+	for _, l := range strings.Split(string(b), "\n") {
+		if strings.HasPrefix(l, "cache.capacity ") {
+			line = l
+		}
+	}
+	if f := strings.Fields(line); len(f) != 2 || f[1] != "1000000" {
+		t.Fatalf("cache.capacity line %q, want value 1000000:\n%s", line, b)
 	}
 }
 

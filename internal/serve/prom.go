@@ -1,71 +1,39 @@
 package serve
 
 // The Prometheus text exposition of the daemon's metrics, negotiated via
-// GET /metrics?format=prometheus. The deterministic table stays the
-// default — byte-stable, diffable, pinned by tests — while the exposition
-// carries the same registry re-typed for a scraper: lifecycle counters as
-// counters, occupancy as gauges, latency as cumulative-bucket histograms,
-// and (under -pprof) live runtime gauges.
+// GET /metrics?format=prometheus. The table stays the default —
+// byte-stable, diffable, pinned by tests — while the exposition renders
+// the same snapshot typed for a scraper: lifecycle counters as counters,
+// occupancy as gauges, latency as cumulative-bucket histograms, and
+// (under -pprof) live runtime gauges.
 
 import (
 	"io"
 	"runtime"
-	"strings"
 
 	"repro/internal/obs"
 )
 
-// promGauges names the table entries that are occupancy snapshots, not
-// monotone counters; the exposition types them gauge.
-var promGauges = map[string]bool{
-	"serve.queue.depth":  true,
-	"serve.queue.length": true,
-	"serve.jobs.tracked": true,
-	"cache.entries":      true,
-	"cache.capacity":     true,
-}
-
-// WritePrometheus renders the full exposition: every metric of the
-// deterministic table (re-typed per promGauges), the latency histograms,
-// and — only when Config.Pprof is set — runtime gauges.
+// WritePrometheus renders the server's snapshot as the exposition, with
+// the runtime gauges added only when Config.Pprof is set.
 func (s *Server) WritePrometheus(w io.Writer) error {
-	pw := obs.NewPromWriter(w)
 	m := s.Metrics()
-	for _, name := range m.Names() {
-		switch {
-		case promGauges[name]:
-			pw.Gauge(name, float64(m.Counters[name]))
-		default:
-			if c, ok := m.Counters[name]; ok {
-				pw.Counter(name, c)
-			} else {
-				pw.Gauge(name, m.Gauges[name])
-			}
-		}
-	}
-	lat := s.Latency()
-	for _, name := range lat.Names() {
-		// Histogram names carry a latency. prefix for the table form; the
-		// exposition drops it because the _seconds unit suffix says the
-		// same thing the Prometheus way.
-		pw.Histogram(strings.TrimPrefix(name, "latency."), lat.Get(name))
-	}
 	if s.cfg.Pprof {
-		writeRuntimeGauges(pw)
+		addRuntimeGauges(m)
 	}
-	return pw.Flush()
+	return m.WritePrometheus(w)
 }
 
-// writeRuntimeGauges emits the live process gauges: heap occupancy,
+// addRuntimeGauges adds the live process gauges: heap occupancy,
 // goroutine count, and cumulative GC work. They are unabashedly
 // nondeterministic, which is why they ride with -pprof instead of the
 // default table.
-func writeRuntimeGauges(pw *obs.PromWriter) {
+func addRuntimeGauges(m *obs.Metrics) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	pw.Gauge("runtime.heap_alloc_bytes", float64(ms.HeapAlloc))
-	pw.Gauge("runtime.heap_objects", float64(ms.HeapObjects))
-	pw.Gauge("runtime.goroutines", float64(runtime.NumGoroutine()))
-	pw.Gauge("runtime.gc_cycles", float64(ms.NumGC))
-	pw.Gauge("runtime.gc_pause_total_seconds", float64(ms.PauseTotalNs)/1e9)
+	m.AddGauge("runtime.heap_alloc_bytes", float64(ms.HeapAlloc))
+	m.AddGauge("runtime.heap_objects", float64(ms.HeapObjects))
+	m.AddGauge("runtime.goroutines", float64(runtime.NumGoroutine()))
+	m.AddGauge("runtime.gc_cycles", float64(ms.NumGC))
+	m.AddGauge("runtime.gc_pause_total_seconds", float64(ms.PauseTotalNs)/1e9)
 }

@@ -187,13 +187,12 @@ type Server struct {
 	jobs     map[string]*job
 	queue    chan *job
 	draining bool
-	counters map[string]int64
-	// inflight counts jobs currently in the running state; lat holds the
-	// queue-wait and per-kind run-duration histograms. Both are mutated
-	// only under mu and exposed as gauges/histograms, never folded into
-	// deterministic report output.
+	// metrics holds the lifecycle counters and the queue-wait and per-kind
+	// run-duration histograms; inflight counts jobs currently in the
+	// running state. Both are mutated only under mu and exposed through
+	// Metrics, never folded into deterministic report output.
+	metrics  *obs.Metrics
 	inflight int64
-	lat      *obs.HistogramSet
 }
 
 // New builds the daemon and starts its worker pool. The caller owns the
@@ -220,15 +219,14 @@ func New(cfg Config) *Server {
 		cache = sweep.NewCache(cfg.CacheSize)
 	}
 	s := &Server{
-		cfg:      cfg,
-		base:     base,
-		maxBody:  maxBody,
-		cache:    cache,
-		run:      jobspec.Run,
-		jobs:     make(map[string]*job),
-		queue:    make(chan *job, depth),
-		counters: make(map[string]int64),
-		lat:      obs.NewHistogramSet(),
+		cfg:     cfg,
+		base:    base,
+		maxBody: maxBody,
+		cache:   cache,
+		run:     jobspec.Run,
+		jobs:    make(map[string]*job),
+		queue:   make(chan *job, depth),
+		metrics: obs.NewMetrics(),
 	}
 	for w := 0; w < workers; w++ {
 		s.wg.Add(1)
@@ -267,7 +265,7 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	s.mu.Lock()
 	s.inflight++
 	if !submitted.IsZero() {
-		s.lat.Observe("latency.serve.queue.wait", started.Sub(submitted))
+		s.metrics.Observe("latency.serve.queue.wait", started.Sub(submitted))
 	}
 	s.mu.Unlock()
 
@@ -282,9 +280,9 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 			_, lerr := s.cfg.Ledger.Append(ledger.NewRecord(j.spec, sum))
 			s.mu.Lock()
 			if lerr != nil {
-				s.counters["serve.ledger.errors"]++
+				s.metrics.Add("serve.ledger.errors", 1)
 			} else {
-				s.counters["serve.ledger.appends"]++
+				s.metrics.Add("serve.ledger.appends", 1)
 			}
 			s.mu.Unlock()
 		}
@@ -321,10 +319,10 @@ func (s *Server) finish(j *job, report, trace []byte, err error) {
 	j.cancel() // release the context's resources; the job is over
 
 	s.mu.Lock()
-	s.counters["serve."+string(st)]++
+	s.metrics.Add("serve."+string(st), 1)
 	if wasRunning {
 		s.inflight--
-		s.lat.Observe("latency.serve.job."+string(j.spec.Kind), time.Since(started))
+		s.metrics.Observe("latency.serve.job."+string(j.spec.Kind), time.Since(started))
 	}
 	s.mu.Unlock()
 }
@@ -354,12 +352,12 @@ func (s *Server) submit(spec *jobspec.Spec) (*job, *apiError) {
 	select {
 	case s.queue <- j:
 		s.jobs[j.id] = j
-		s.counters["serve.submitted"]++
+		s.metrics.Add("serve.submitted", 1)
 		s.mu.Unlock()
 		return j, nil
 	default:
 		s.seq-- // the id was never published
-		s.counters["serve.rejected"]++
+		s.metrics.Add("serve.rejected", 1)
 		s.mu.Unlock()
 		cancel()
 		return nil, &apiError{status: 429, msg: "job queue is full", retryAfter: 1}
@@ -397,18 +395,17 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Metrics assembles the deterministic counter table: the server's own
-// lifecycle counters, current queue occupancy, and the artifact cache's
-// cumulative per-stage traffic.
+// Metrics snapshots the server: its lifecycle counters and latency
+// histograms, the current queue and cache occupancy as gauges, and the
+// artifact cache's cumulative per-stage traffic. The snapshot is a
+// private copy; mutating it does not touch the server.
 func (s *Server) Metrics() *obs.Metrics {
 	m := obs.NewMetrics()
 	s.mu.Lock()
-	for k, v := range s.counters {
-		m.Add(k, v)
-	}
-	m.Add("serve.queue.depth", int64(cap(s.queue)))
-	m.Add("serve.queue.length", int64(len(s.queue)))
-	m.Add("serve.jobs.tracked", int64(len(s.jobs)))
+	m.Merge(s.metrics)
+	m.AddGauge("serve.queue.depth", float64(cap(s.queue)))
+	m.AddGauge("serve.queue.length", float64(len(s.queue)))
+	m.AddGauge("serve.jobs.tracked", float64(len(s.jobs)))
 	// Live-occupancy gauges: queue_depth is the number of jobs waiting in
 	// the queue right now, inflight the number currently running. They
 	// mirror exactly the accounting the 429 admission decision sees —
@@ -419,31 +416,8 @@ func (s *Server) Metrics() *obs.Metrics {
 	s.mu.Unlock()
 
 	cs := s.cache.Stats()
-	for _, sc := range []struct {
-		name string
-		st   sweep.StageStats
-	}{
-		{"parsed", cs.Parsed},
-		{"analyzed", cs.Analyzed},
-		{"saturated", cs.Saturated},
-	} {
-		m.Add("cache."+sc.name+".hits", sc.st.Hits)
-		m.Add("cache."+sc.name+".disk_hits", sc.st.DiskHits)
-		m.Add("cache."+sc.name+".misses", sc.st.Misses)
-		m.Add("cache."+sc.name+".evictions", sc.st.Evictions)
-	}
-	m.Add("cache.entries", int64(cs.Entries))
-	m.Add("cache.capacity", int64(cs.Capacity))
+	cs.AddTo(m)
+	m.AddGauge("cache.entries", float64(cs.Entries))
+	m.AddGauge("cache.capacity", float64(cs.Capacity))
 	return m
-}
-
-// Latency snapshots the server's latency histograms — queue wait and
-// per-kind run durations — for the Prometheus exposition. The returned
-// set is a private copy; mutating it does not touch the server.
-func (s *Server) Latency() *obs.HistogramSet {
-	out := obs.NewHistogramSet()
-	s.mu.Lock()
-	out.Merge(s.lat)
-	s.mu.Unlock()
-	return out
 }

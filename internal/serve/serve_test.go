@@ -217,7 +217,7 @@ func TestAdmissionControl(t *testing.T) {
 	}
 
 	var m bytes.Buffer
-	if err := s.Metrics().WriteTable(&m); err != nil {
+	if err := s.Metrics().WriteTable(&m, false); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(m.String(), "serve.rejected") {

@@ -68,7 +68,7 @@ func TestMetricsIdenticalAcrossWorkersAndCache(t *testing.T) {
 			t.Fatal(rep.FirstErr())
 		}
 		var buf bytes.Buffer
-		if err := rep.Metrics().WriteTable(&buf); err != nil {
+		if err := rep.Metrics().WriteTable(&buf, false); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -180,7 +180,7 @@ func TestColdSweepHistogramNames(t *testing.T) {
 	want := []string{"latency.phase.assign", "latency.phase.graph", "latency.phase.group",
 		"latency.phase.parse", "latency.phase.retime", "latency.phase.saturate",
 		"latency.phase.scc", "latency.sweep.job"}
-	if got := rep.Histograms().Names(); !reflect.DeepEqual(got, want) {
+	if got := rep.Metrics().Latency.Names(); !reflect.DeepEqual(got, want) {
 		t.Errorf("histograms = %v, want %v", got, want)
 	}
 }

@@ -32,8 +32,8 @@ type RenderOptions struct {
 	// Report.Metrics) to the text form and a "metrics" object to the JSON
 	// form. The table is deterministic for any worker count, so the flag
 	// composes with Timing=false. The CSV form never carries metrics.
-	// Latency histograms (Report.Histograms) are fills of wall-clock
-	// data, so they render only when Metrics AND Timing are both set;
+	// The snapshot's latency histograms are fills of wall-clock data,
+	// so they render only when Metrics AND Timing are both set;
 	// -no-timing output is byte-identical with or without them.
 	Metrics bool
 }
@@ -101,7 +101,7 @@ func (r *Report) WriteJSON(w io.Writer, opts RenderOptions) error {
 	if opts.Metrics {
 		out.Metrics = r.Metrics()
 		if opts.Timing {
-			out.Latency = r.Histograms().Summaries()
+			out.Latency = out.Metrics.Latency.Summaries()
 		}
 	}
 	for i := range r.Jobs {
@@ -217,18 +217,8 @@ func (r *Report) WriteText(w io.Writer, opts RenderOptions) error {
 		if _, err := fmt.Fprintln(w); err != nil {
 			return err
 		}
-		if err := r.Metrics().WriteTable(w); err != nil {
+		if err := r.Metrics().WriteTable(w, opts.Timing); err != nil {
 			return err
-		}
-		if opts.Timing {
-			if hs := r.Histograms(); hs.Len() > 0 {
-				if _, err := fmt.Fprintln(w); err != nil {
-					return err
-				}
-				if err := hs.WriteTable(w); err != nil {
-					return err
-				}
-			}
 		}
 	}
 	if !opts.Timing {

@@ -220,39 +220,6 @@ type Report struct {
 	parseTimes []time.Duration
 }
 
-// Histograms builds the sweep's latency histograms after the fact, in job
-// order, from the per-job result structs — the same aggregation
-// discipline as Metrics, applied to timing data. Every core phase fills
-// latency.phase.<name> (parse from the preload's computes only); whole
-// jobs fill latency.sweep.job. Zero phase durations are skipped — they
-// mark stages attributed to another job through the shared-prefix
-// cache. Embedded coverage campaigns contribute their per-batch
-// histograms by merging. The result is timing data: render it only where
-// a timing trailer would render.
-func (r *Report) Histograms() *obs.HistogramSet {
-	hs := obs.NewHistogramSet()
-	observe := func(name string, d time.Duration) {
-		if d > 0 {
-			hs.Observe(name, d)
-		}
-	}
-	for _, d := range r.parseTimes {
-		observe("latency.phase."+core.PhaseParse, d)
-	}
-	for i := range r.Jobs {
-		jr := &r.Jobs[i]
-		if jr.Err != nil {
-			continue
-		}
-		observe("latency.sweep.job", jr.Elapsed)
-		jr.Phases.Each(func(name string, d time.Duration) { observe("latency.phase."+name, d) })
-		if jr.Coverage != nil {
-			hs.Merge(jr.Coverage.Latency)
-		}
-	}
-	return hs
-}
-
 // FirstErr returns the first failed job's error, or nil when every job
 // succeeded.
 func (r *Report) FirstErr() error {
