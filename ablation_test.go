@@ -88,30 +88,35 @@ func BenchmarkAblationBeta(b *testing.B) {
 }
 
 // BenchmarkAblationAssignMerge measures what the greedy Assign_CBIT pass
-// buys: cluster count and cut nets with and without the merge.
+// buys: cluster count and cut nets of the full compile against Make_Group
+// alone on the same saturation.
 func BenchmarkAblationAssignMerge(b *testing.B) {
 	c := loadB(b, "s1423")
-	for _, skip := range []bool{false, true} {
-		skip := skip
-		name := "with-merge"
-		if skip {
-			name = "no-merge"
-		}
-		b.Run(name, func(b *testing.B) {
-			var r *core.Result
-			for i := 0; i < b.N; i++ {
-				opt := core.DefaultOptions(16, 1)
-				opt.SkipAssign = skip
-				var err error
-				r, err = core.Compile(context.Background(), c, opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.Logf("ablation merge=%v: clusters=%d cuts=%d", !skip, len(r.Partition.Clusters), r.Areas.CutNets)
-		})
+	opt := core.DefaultOptions(16, 1)
+	r, err := core.Compile(context.Background(), c, opt)
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.Run("with-merge", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if r, err = core.Compile(context.Background(), c, opt); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.Logf("ablation merge=true: clusters=%d cuts=%d", len(r.Partition.Clusters), r.Areas.CutNets)
+	})
+	b.Run("no-merge", func(b *testing.B) {
+		var p *partition.Result
+		for i := 0; i < b.N; i++ {
+			d := append([]float64(nil), r.Flow.D...)
+			if p, err = partition.MakeGroup(r.Graph, r.SCC, d, partition.Options{LK: opt.LK, Beta: opt.Beta}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		b.Logf("ablation merge=false: clusters=%d cuts=%d", len(p.Clusters), p.NumCutNets())
+	})
 }
 
 // BenchmarkAblationSolverVsSCCBound compares the faithful per-cycle

@@ -31,27 +31,12 @@ type Options struct {
 	Beta int
 	// Seed drives every stochastic step.
 	Seed int64
-	// Flow overrides the Saturate_Network parameters. The zero value means
-	// "paper defaults with Seed"; in a partially set config, a zero
-	// Capacity/Alpha/Delta falls back to its paper default. Being a value
-	// (not a pointer) keeps Options plainly copyable across sweep jobs.
-	Flow flow.Config
-	// SkipAssign stops after Make_Group (no CBIT merging pass).
-	SkipAssign bool
-	// RefinePasses runs the greedy boundary-refinement pass after
-	// Assign_CBIT (0 disables; DefaultOptions uses 2).
-	RefinePasses int
 	// SolveRetiming runs the Leiserson-Saxe difference-constraint solver to
 	// produce concrete retiming labels; its covered/demoted split is the
 	// faithful per-cycle (Corollary 2) accounting used for Table 12. When
-	// it is off or the circuit exceeds MaxSolveNodes, the coarse per-SCC
-	// bound retime.CoverageBySCC prices the report instead.
+	// it is off, or the circuit has more than 300000 graph nodes, the
+	// coarse per-SCC bound retime.CoverageBySCC prices the report instead.
 	SolveRetiming bool
-	// MaxSolveNodes caps SolveRetiming (0: 300000 nodes, i.e. always on
-	// for the paper's benchmark sizes).
-	MaxSolveNodes int
-	// Locked nodes are excluded from clustering (Table 5 STEP 2.1).
-	Locked map[int]bool
 	// Lint gates the compilation on the internal/lint design rules: the
 	// netlist layer runs before STEP 1 and the partition/retiming layer
 	// after STEP 3, and any error-severity diagnostic aborts with a
@@ -62,7 +47,7 @@ type Options struct {
 // DefaultOptions returns the paper's experimental configuration for a
 // given l_k.
 func DefaultOptions(lk int, seed int64) Options {
-	return Options{LK: lk, Beta: 50, Seed: seed, SolveRetiming: true, RefinePasses: 2}
+	return Options{LK: lk, Beta: 50, Seed: seed, SolveRetiming: true}
 }
 
 // AreaReport prices the CBIT hardware per the paper's Table 12 accounting:
@@ -261,36 +246,14 @@ func (o Options) Validate() error {
 		return fmt.Errorf("core: LK must be >= 1 (got %d); the paper's experiments use 16 and 24", o.LK)
 	case o.Beta < 0:
 		return fmt.Errorf("core: Beta must be >= 0 (got %d); 0 clamps to the Eq. (6) minimum budget of 1", o.Beta)
-	case o.MaxSolveNodes < 0:
-		return fmt.Errorf("core: MaxSolveNodes must be >= 0 (got %d); 0 means the 300000-node default", o.MaxSolveNodes)
-	case o.RefinePasses < 0:
-		return fmt.Errorf("core: RefinePasses must be >= 0 (got %d); 0 disables boundary refinement", o.RefinePasses)
 	}
 	return nil
 }
 
-// FlowConfig resolves Options.Flow: the zero value selects the paper
-// defaults seeded from Options.Seed; a partially set config has its zero
-// Capacity/Alpha/Delta fields filled with the paper defaults. Stage
-// drivers use the resolved config as part of the Saturated artifact key.
-func (o Options) FlowConfig() flow.Config { return o.flowConfig() }
-
-func (o Options) flowConfig() flow.Config {
-	if o.Flow == (flow.Config{}) {
-		return flow.DefaultConfig(o.Seed)
-	}
-	fcfg := o.Flow
-	if fcfg.Capacity == 0 {
-		fcfg.Capacity = 1
-	}
-	if fcfg.Alpha == 0 {
-		fcfg.Alpha = 4
-	}
-	if fcfg.Delta == 0 {
-		fcfg.Delta = 0.01
-	}
-	return fcfg
-}
+// FlowConfig returns the Saturate_Network parameters: the paper defaults
+// seeded from Options.Seed. Stage drivers use it as part of the Saturated
+// artifact key.
+func (o Options) FlowConfig() flow.Config { return flow.DefaultConfig(o.Seed) }
 
 // Compile runs the full Merced pipeline of Table 2 on the circuit. It is a
 // thin driver over the staged artifact pipeline of stages.go — NewParsed →
@@ -337,7 +300,7 @@ func Compile(ctx context.Context, c *netlist.Circuit, opt Options) (*Result, err
 	}
 
 	// STEP 3a: Saturate_Network.
-	s, err := SaturateNetwork(ctx, a, opt.flowConfig())
+	s, err := SaturateNetwork(ctx, a, opt.FlowConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -111,19 +111,6 @@ func TestCompileValidation(t *testing.T) {
 	}
 }
 
-func TestSkipAssign(t *testing.T) {
-	r, err := Compile(context.Background(), s27(t), Options{LK: 3, Beta: 50, Seed: 1, SkipAssign: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Merges) != 0 {
-		t.Fatal("merges recorded despite SkipAssign")
-	}
-	if err := r.Partition.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSolverAccountingConsistent(t *testing.T) {
 	r, err := Compile(context.Background(), s27(t), DefaultOptions(3, 1))
 	if err != nil {
@@ -144,13 +131,13 @@ func TestSolverAccountingConsistent(t *testing.T) {
 
 func TestMaxSolveNodesSkipsSolver(t *testing.T) {
 	opt := DefaultOptions(3, 1)
-	opt.MaxSolveNodes = 2 // below s27's node count
+	opt.SolveRetiming = false
 	r, err := Compile(context.Background(), s27(t), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Retiming != nil {
-		t.Fatal("solver ran despite MaxSolveNodes")
+		t.Fatal("solver ran despite SolveRetiming = false")
 	}
 	// Fallback accounting must still fill the report.
 	if r.Areas.CoveredCuts+r.Areas.ExcessCuts != r.Areas.CutNets {

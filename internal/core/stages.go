@@ -2,9 +2,9 @@ package core
 
 // This file is the staged form of the Table 2 pipeline. Each stage produces
 // an immutable artifact — Parsed → Analyzed → Saturated → Partitioned →
-// Priced — and every artifact carries a deterministic content key derived
-// from its inputs, so two artifacts with equal keys are interchangeable.
-// Compile chains the stages for the one-shot CLI path; batch drivers
+// Priced. The shareable prefix (Parsed, Analyzed, Saturated) carries a
+// deterministic content key derived from its inputs, so two artifacts with
+// equal keys are interchangeable. Compile chains the stages for the one-shot CLI path; batch drivers
 // (internal/sweep) memoize the shared prefix — parse, analyze, saturate are
 // functions of (circuit, seed, flow.Config) only — and branch per job at
 // MakePartition, where l_k and β first enter the computation.
@@ -22,8 +22,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -217,40 +215,6 @@ func (s *Saturated) Config() flow.Config { return s.cfg }
 // Key returns the artifact's deterministic content key.
 func (s *Saturated) Key() string { return s.key }
 
-// PartitionKey returns the content key of the Partitioned artifact opt
-// would produce from this saturation — the point where l_k, β and the
-// clustering knobs enter the pipeline.
-func (s *Saturated) PartitionKey(opt Options) string {
-	beta := opt.Beta
-	if beta < 1 {
-		beta = 1
-	}
-	return fmt.Sprintf("partition(%s|lk=%d,beta=%d,skip=%t,refine=%d,locked=%s)",
-		s.key, opt.LK, beta, opt.SkipAssign, opt.RefinePasses, lockedKey(opt.Locked))
-}
-
-// lockedKey renders the locked-node set deterministically (sorted IDs).
-func lockedKey(locked map[int]bool) string {
-	if len(locked) == 0 {
-		return "-"
-	}
-	ids := make([]int, 0, len(locked))
-	for v, on := range locked {
-		if on {
-			ids = append(ids, v)
-		}
-	}
-	sort.Ints(ids)
-	var sb strings.Builder
-	for i, v := range ids {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		fmt.Fprintf(&sb, "%d", v)
-	}
-	return sb.String()
-}
-
 // Partitioned is the fourth artifact: the Make_Group clustering and the
 // Assign_CBIT merge/refine passes (Table 2 STEPs 3b-3c) under one (l_k, β)
 // coordinate.
@@ -258,7 +222,6 @@ type Partitioned struct {
 	saturated *Saturated
 	part      *partition.Result
 	merges    []partition.MergeTrace
-	key       string
 
 	// Phases records the group and assign costs at build time.
 	Phases Phases
@@ -284,26 +247,24 @@ func MakePartition(ctx context.Context, s *Saturated, opt Options) (*Partitioned
 	end := StartPhase(ctx, PhaseGroup, name)
 	d := append([]float64(nil), s.res.D...)
 	pres, err := partition.MakeGroup(s.analyzed.g, s.analyzed.scc, d,
-		partition.Options{LK: opt.LK, Beta: opt.Beta, Locked: opt.Locked})
+		partition.Options{LK: opt.LK, Beta: opt.Beta})
 	group := end()
 	if err != nil {
 		return nil, fmt.Errorf("core: make group: %w", err)
 	}
-	pt := &Partitioned{saturated: s, part: pres, key: s.PartitionKey(opt), Phases: Phases{Group: group}}
+	pt := &Partitioned{saturated: s, part: pres, Phases: Phases{Group: group}}
 
-	if !opt.SkipAssign {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: assign CBIT: %w", err)
-		}
-		end = StartPhase(ctx, PhaseAssign, name)
-		pt.merges, err = partition.AssignCBIT(pres, opt.LK)
-		if err == nil && opt.RefinePasses > 0 {
-			partition.Refine(pres, opt.LK, opt.RefinePasses)
-		}
-		pt.Phases.Assign = end()
-		if err != nil {
-			return nil, fmt.Errorf("core: assign CBIT: %w", err)
-		}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("core: assign CBIT: %w", err)
+	}
+	end = StartPhase(ctx, PhaseAssign, name)
+	pt.merges, err = partition.AssignCBIT(pres, opt.LK)
+	if err == nil {
+		partition.Refine(pres, opt.LK, refinePasses)
+	}
+	pt.Phases.Assign = end()
+	if err != nil {
+		return nil, fmt.Errorf("core: assign CBIT: %w", err)
 	}
 	return pt, nil
 }
@@ -317,22 +278,13 @@ func (pt *Partitioned) Partition() *partition.Result { return pt.part }
 // Merges returns the Assign_CBIT merge trace.
 func (pt *Partitioned) Merges() []partition.MergeTrace { return pt.merges }
 
-// Key returns the artifact's deterministic content key.
-func (pt *Partitioned) Key() string { return pt.key }
+// refinePasses is the number of greedy boundary-refinement passes run
+// after Assign_CBIT.
+const refinePasses = 2
 
-// PriceKey returns the content key of the Priced artifact opt would produce
-// from this partition.
-func (pt *Partitioned) PriceKey(opt Options) string {
-	limit := opt.MaxSolveNodes
-	if limit == 0 {
-		limit = defaultMaxSolveNodes
-	}
-	return fmt.Sprintf("price(%s|solve=%t,maxnodes=%d)", pt.key, opt.SolveRetiming, limit)
-}
-
-// defaultMaxSolveNodes is the Options.MaxSolveNodes zero-value default:
-// large enough that the solver always runs on the paper's benchmark sizes.
-const defaultMaxSolveNodes = 300000
+// maxSolveNodes caps the retiming solver: large enough that it always runs
+// on the paper's benchmark sizes.
+const maxSolveNodes = 300000
 
 // Priced is the final artifact: the optional Leiserson-Saxe retiming
 // solution plus the Table 10-12 area accounting.
@@ -341,7 +293,6 @@ type Priced struct {
 	retiming    *retime.Solution
 	combGraph   *retime.CombGraph
 	areas       AreaReport
-	key         string
 
 	// Phases records the retime solver cost at build time (zero when the
 	// solver was skipped).
@@ -358,22 +309,16 @@ func Price(ctx context.Context, pt *Partitioned, opt Options) (*Priced, error) {
 		return nil, errors.New("core: nil partitioned artifact")
 	}
 	s := pt.saturated
-	pr := &Priced{partitioned: pt, key: pt.PriceKey(opt)}
-	if opt.SolveRetiming {
-		limit := opt.MaxSolveNodes
-		if limit == 0 {
-			limit = defaultMaxSolveNodes
+	pr := &Priced{partitioned: pt}
+	if opt.SolveRetiming && s.analyzed.g.NumNodes() <= maxSolveNodes {
+		end := StartPhase(ctx, PhaseRetime, s.analyzed.parsed.c.Name)
+		sol, cg, err := solveRetiming(ctx, s.analyzed.g, pt.part, s.res)
+		pr.Phases.Retime = end()
+		if err != nil {
+			return nil, fmt.Errorf("core: retiming solver: %w", err)
 		}
-		if s.analyzed.g.NumNodes() <= limit {
-			end := StartPhase(ctx, PhaseRetime, s.analyzed.parsed.c.Name)
-			sol, cg, err := solveRetiming(ctx, s.analyzed.g, pt.part, s.res)
-			pr.Phases.Retime = end()
-			if err != nil {
-				return nil, fmt.Errorf("core: retiming solver: %w", err)
-			}
-			pr.retiming = sol
-			pr.combGraph = cg
-		}
+		pr.retiming = sol
+		pr.combGraph = cg
 	}
 	pr.areas = priceAreas(s.Circuit(), s.analyzed.g, s.analyzed.scc, pt.part, pr.retiming)
 	return pr, nil
@@ -390,9 +335,6 @@ func (pr *Priced) CombGraph() *retime.CombGraph { return pr.combGraph }
 
 // Areas returns the Table 10-12 area accounting.
 func (pr *Priced) Areas() AreaReport { return pr.areas }
-
-// Key returns the artifact's deterministic content key.
-func (pr *Priced) Key() string { return pr.key }
 
 // CompileFrom finishes a compilation from a (possibly shared, possibly
 // cached) Saturated artifact: it is Compile with the parse/analyze/saturate

@@ -153,17 +153,24 @@ func TestArtifactKeysDeterministic(t *testing.T) {
 	if k1 == k2 {
 		t.Errorf("saturate key ignores the seed: %q", k1)
 	}
+}
 
-	s, err := SaturateNetwork(context.Background(), a, DefaultOptions(16, 1).FlowConfig())
+// TestSaturateKeyPinned pins the literal Saturated key of s27 at seed 1.
+// Persistent artifact stores are addressed by this key, so any change to
+// its text or to the default flow configuration orphans every warm store.
+func TestSaturateKeyPinned(t *testing.T) {
+	p, err := NewParsed(loadBench(t, "s27"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt16, opt24 := DefaultOptions(16, 1), DefaultOptions(24, 1)
-	if s.PartitionKey(opt16) == s.PartitionKey(opt24) {
-		t.Errorf("partition key ignores l_k: %q", s.PartitionKey(opt16))
+	a, err := Analyze(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.PartitionKey(opt16) != s.PartitionKey(opt16) {
-		t.Error("partition key is not deterministic")
+	const want = "saturate(analyze(circuit:96227cca3fbbff9342580e3dcac36e148d0040f0f646671bed6747323255d221)" +
+		"|b=1,mv=20,alpha=4,delta=0.01,seed=1,policy=0,maxiter=0)"
+	if got := a.SaturateKey(DefaultOptions(16, 1).FlowConfig()); got != want {
+		t.Errorf("SaturateKey = %q\nwant           %q", got, want)
 	}
 }
 

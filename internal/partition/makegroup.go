@@ -14,9 +14,6 @@ type Options struct {
 	// Beta is the Eq. (6) SCC cut-budget multiplier (paper uses 50 to
 	// effectively relax the constraint). Beta >= 1.
 	Beta int
-	// Locked marks node IDs the clusterer must not work on (Table 5 STEP
-	// 2.1); locked nodes form singleton clusters. May be nil.
-	Locked map[int]bool
 }
 
 // MakeGroup clusters the cells of g into groups with iota(group) <= LK by
@@ -46,12 +43,7 @@ func MakeGroup(g *graph.G, scc *graph.SCCInfo, d []float64, opt Options) (*Resul
 	}
 	st.initSCCBudget()
 
-	cells := make([]int, 0, g.NumNodes())
-	for _, v := range g.CellIDs() {
-		if !opt.Locked[v] {
-			cells = append(cells, v)
-		}
-	}
+	cells := g.CellIDs()
 
 	steps, resplits := 0, 0
 	var final []*Cluster
@@ -96,12 +88,6 @@ func MakeGroup(g *graph.G, scc *graph.SCCInfo, d []float64, opt Options) (*Resul
 		queue = append(queue, parts...)
 	}
 
-	// Locked nodes become singleton clusters.
-	for _, v := range g.CellIDs() {
-		if opt.Locked[v] {
-			final = append(final, &Cluster{Nodes: []int{v}})
-		}
-	}
 	assign := make([]int, g.NumNodes())
 	for i := range assign {
 		assign[i] = -1

@@ -88,32 +88,6 @@ func TestMakeGroupCoversAllCells(t *testing.T) {
 	}
 }
 
-func TestMakeGroupLockedNodes(t *testing.T) {
-	g, scc, d := s27Setup(t, 1)
-	id, _ := g.NodeByName("G9")
-	r, err := MakeGroup(g, scc, d, Options{LK: 3, Beta: 50, Locked: map[int]bool{id: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, c := range r.Clusters {
-		for _, v := range c.Nodes {
-			if v == id {
-				if len(c.Nodes) != 1 {
-					t.Fatalf("locked node in cluster of size %d", len(c.Nodes))
-				}
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Fatal("locked node missing from partition")
-	}
-}
-
 func TestMakeGroupInvalidOptions(t *testing.T) {
 	g, scc, d := s27Setup(t, 1)
 	if _, err := MakeGroup(g, scc, d, Options{LK: 0, Beta: 1}); err == nil {

@@ -122,14 +122,24 @@ type stageCodec struct {
 	decode func([]byte) (any, error)
 }
 
-// parsedCodec persists core.Parsed artifacts. Note the parsed stage is
-// keyed by circuit reference ("parsed:<name>"), not content — editing a
-// .bench file under a warm cache directory serves the old parse until the
-// entry is evicted or the directory cleared (documented in DESIGN.md §14).
+// parsedCodec persists core.Parsed artifacts.
 var parsedCodec = &stageCodec{
 	schema: core.ParsedSchemaVersion,
 	encode: func(v any) ([]byte, error) { return v.(*core.Parsed).Encode() },
 	decode: func(b []byte) (any, error) { return core.DecodeParsed(b) },
+}
+
+// parsedTier returns the parsed-stage key and codec for a circuit
+// reference. The parsed stage is keyed by reference, not content, so only
+// a built-in name resolved by the default loader (defaultLoad) names one
+// netlist for good and may be persisted. A file can be edited between runs
+// and a custom loader may map any name to any netlist, so those stay in
+// the memory tier, under a key that cannot collide with a built-in's.
+func parsedTier(name string, defaultLoad bool) (string, *stageCodec) {
+	if defaultLoad && !IsCircuitFile(name) {
+		return "parsed:" + name, parsedCodec
+	}
+	return "parsed-local:" + name, nil
 }
 
 // analyzedCodec persists core.Analyzed artifacts built from p.
@@ -192,32 +202,17 @@ func NewCacheWithStore(capacity int, store ArtifactStore) *Cache {
 // artifacts are only guaranteed durable after Flush returns.
 func (c *Cache) Flush() { c.writes.Wait() }
 
-// newArtifactCache is the historical constructor name, kept for the
-// package's own call sites and tests.
-func newArtifactCache(capacity int) *Cache { return NewCache(capacity) }
-
-// getOrCompute returns the cached value for key, computing it with fn on a
-// miss. computed reports whether this call ran fn — callers use it to
-// attribute the stage's cost to exactly one job. On error the entry is
+// getOrCompute returns the cached value for key from memory, then (when
+// both a store and a codec are present) from the persistent tier, and
+// otherwise computes it with fn. The entry is inserted before either slow
+// path runs, so the singleflight guarantee spans disk reads and computes
+// alike. computed reports whether fn ran — callers use it to attribute the
+// stage's cost to exactly one job, and a disk hit is not a compute. When
+// per is non-nil, the outcome is counted there as well as in the
+// cumulative stats; per is written only under the cache mutex, so one
+// tracker may be shared by every worker of a run. On error the entry is
 // dropped so a later request recomputes.
-func (c *Cache) getOrCompute(st cacheStage, key string, fn func() (any, error)) (val any, computed bool, err error) {
-	return c.getOrComputeTracked(st, key, nil, fn)
-}
-
-// getOrComputeTracked is getOrCompute with per-run attribution: when per is
-// non-nil, the outcome is counted there as well as in the cumulative stats.
-// per is written only under the cache mutex, so one tracker may be shared
-// by every worker of a run.
-func (c *Cache) getOrComputeTracked(st cacheStage, key string, per *[3]StageStats, fn func() (any, error)) (val any, computed bool, err error) {
-	return c.getOrComputeStored(st, key, per, nil, fn)
-}
-
-// getOrComputeStored is the full two-tier lookup: memory, then (when both a
-// store and a codec are present) the persistent tier, then fn. The entry is
-// inserted before either slow path runs, so the singleflight guarantee
-// spans disk reads and computes alike. computed reports whether fn ran —
-// a disk hit is not a compute, so phase timings are never attributed to it.
-func (c *Cache) getOrComputeStored(st cacheStage, key string, per *[3]StageStats, codec *stageCodec, fn func() (any, error)) (val any, computed bool, err error) {
+func (c *Cache) getOrCompute(st cacheStage, key string, per *[3]StageStats, codec *stageCodec, fn func() (any, error)) (val any, computed bool, err error) {
 	c.mu.Lock()
 	c.gen++
 	if e, ok := c.entries[key]; ok {
@@ -371,14 +366,15 @@ func (c *Cache) Compile(ctx context.Context, name string, load func(string) (*ne
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if load == nil {
-		load = LoadCircuit
-	}
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	pv, _, err := cacheStagedArtifact(ctx, c, stageParsed, "parsed:"+name, nil, parsedCodec, func() (any, error) {
+	key, codec := parsedTier(name, load == nil)
+	if load == nil {
+		load = LoadCircuit
+	}
+	pv, _, err := cacheStagedArtifact(ctx, c, stageParsed, key, nil, codec, func() (any, error) {
 		p, _, err := parse(ctx, name, load)
 		return p, err
 	})

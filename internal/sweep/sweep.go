@@ -75,8 +75,8 @@ func (j Job) String() string {
 }
 
 // CompileFunc is the per-job compilation hook. Config.Compile overrides it
-// for tests (fault injection) and future result caches; the default is
-// core.Compile.
+// for tests (fault injection); the default is the staged cached pipeline,
+// or core.Compile under NoCache.
 type CompileFunc func(ctx context.Context, c *netlist.Circuit, opt core.Options) (*core.Result, error)
 
 // Config tunes a sweep run. The zero value runs core.Compile with
@@ -105,15 +105,12 @@ type Config struct {
 	// identical either way (a test and a CI step pin that); the switch
 	// exists for A/B benchmarking and as an escape hatch.
 	NoCache bool
-	// CacheEntries bounds the artifact cache; <= 0 means
-	// DefaultCacheEntries. Ignored when Cache is set.
-	CacheEntries int
 	// Cache, when non-nil, is an externally owned artifact cache shared
 	// across runs — the serve daemon passes one process-lifetime Cache to
 	// every request so repeat circuits hit the Saturated prefix instantly.
 	// Report.Cache then counts only this run's hits/misses/evictions (the
 	// deltas); Cache.Stats accumulates across every run. When nil, Run
-	// constructs a private cache bounded by CacheEntries, which makes the
+	// constructs a private cache of DefaultCacheEntries, which makes the
 	// deltas and the totals coincide.
 	Cache *Cache
 	// Coverage runs a fault-coverage campaign (internal/fault.Campaign)
@@ -275,7 +272,7 @@ func Run(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 	// hit/miss counters reflect the matrix shape.
 	cache := cfg.Cache
 	if cache == nil {
-		cache = newArtifactCache(cfg.CacheEntries)
+		cache = NewCache(0)
 	}
 	// per tracks this run's own cache traffic; it is written only under the
 	// cache mutex and read after the pool has drained.
@@ -283,7 +280,8 @@ func Run(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 	masters := make(map[string]*core.Parsed, len(jobs))
 	var parseTimes []time.Duration
 	for i, j := range jobs {
-		v, _, err := cache.getOrComputeStored(stageParsed, "parsed:"+j.Circuit, per, parsedCodec, func() (any, error) {
+		key, codec := parsedTier(j.Circuit, cfg.Load == nil)
+		v, _, err := cache.getOrCompute(stageParsed, key, per, codec, func() (any, error) {
 			p, d, err := parse(ctx, j.Circuit, load)
 			if err == nil {
 				parseTimes = append(parseTimes, d)
@@ -452,13 +450,13 @@ func compileStaged(ctx context.Context, p *core.Parsed, cache *Cache, per *[3]St
 	return r, err
 }
 
-// cacheStagedArtifact wraps artifactCache.getOrCompute with one retry rule:
+// cacheStagedArtifact wraps Cache.getOrCompute with one retry rule:
 // when a *shared* computation fails with another job's cancellation while
 // this job's own context is still live, request again (the failed entry was
 // dropped, so the retry recomputes under this job's context).
 func cacheStagedArtifact(ctx context.Context, cache *Cache, st cacheStage, key string, per *[3]StageStats, codec *stageCodec, fn func() (any, error)) (any, bool, error) {
 	for {
-		v, computed, err := cache.getOrComputeStored(st, key, per, codec, fn)
+		v, computed, err := cache.getOrCompute(st, key, per, codec, fn)
 		if err == nil || computed || ctx.Err() != nil ||
 			!(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
 			return v, computed, err
