@@ -28,10 +28,10 @@ import (
 	"repro/internal/anneal"
 	"repro/internal/bench89"
 	"repro/internal/cbit"
-	"repro/internal/core"
 	"repro/internal/netlist"
 	"repro/internal/pet"
 	"repro/internal/report"
+	"repro/internal/sweep"
 )
 
 func main() {
@@ -93,11 +93,7 @@ func fatal(err error) {
 
 func selectCircuits(flagVal string) []string {
 	if flagVal == "" {
-		names := make([]string, len(bench89.Specs))
-		for i, s := range bench89.Specs {
-			names[i] = s.Name
-		}
-		return names
+		return specNames(bench89.Specs)
 	}
 	var out []string
 	for _, n := range strings.Split(flagVal, ",") {
@@ -176,6 +172,7 @@ func table9(sel []string) *report.Table {
 func table1011(sel []string, lk int, seed int64) *report.Table {
 	t := report.NewTable(fmt.Sprintf("Table %d: Partition Results for l_k = %d", 10+(lk-16)/8, lk),
 		"Circuit", "DFFs", "DFFs on SCC", "cut nets on SCC", "nets cut", "CPU time (s)")
+	compileAll(sel, []int{lk}, seed)
 	for _, name := range sel {
 		r := compile(name, lk, seed)
 		t.AddRowf(name, r.Areas.DFFs, r.Areas.DFFsOnSCC, r.Areas.CutNetsOnSCC,
@@ -187,6 +184,7 @@ func table1011(sel []string, lk int, seed int64) *report.Table {
 func table12(sel []string, seed int64) *report.Table {
 	t := report.NewTable("Table 12: CBIT Area Comparison for l_k = 16 and l_k = 24 (A_CBIT/A_Total %)",
 		"Circuit", "lk16 w/ retime", "lk16 w/o", "lk24 w/ retime", "lk24 w/o")
+	compileAll(sel, []int{16, 24}, seed)
 	for _, name := range sel {
 		r16 := compile(name, 16, seed)
 		r24 := compile(name, 24, seed)
@@ -198,6 +196,7 @@ func table12(sel []string, seed int64) *report.Table {
 
 func figure8(sel []string, seed int64) {
 	fmt.Println("Figure 8: Comparison between PPET with/without Retiming (saving in percentage points)")
+	compileAll(sel, []int{16, 24}, seed)
 	var x, y16, y24 []float64
 	for i, name := range sel {
 		r16 := compile(name, 16, seed)
@@ -219,15 +218,16 @@ func figure8(sel []string, seed int64) {
 func tableSA(seed int64) *report.Table {
 	t := report.NewTable("Baseline: flow-based partitioning (Merced) vs. simulated annealing (ref [4]), l_k=16",
 		"Circuit", "flow cuts", "flow maxIn", "SA cuts", "SA maxIn", "SA violations")
-	for _, sp := range bench89.SmallSpecs(1300) {
+	specs := bench89.SmallSpecs(1300)
+	compileAll(specNames(specs), []int{16}, seed)
+	for _, sp := range specs {
 		r := compile(sp.Name, 16, seed)
-		g := r.Graph
-		sa, err := anneal.Partition(g, anneal.Options{LK: 16, Seed: seed,
-			NumClusters: len(r.Partition.Clusters)})
+		sa, err := anneal.Partition(r.Result.Graph, anneal.Options{LK: 16, Seed: seed,
+			NumClusters: r.Clusters})
 		if err != nil {
 			fatal(err)
 		}
-		t.AddRowf(sp.Name, r.Areas.CutNets, r.Partition.MaxInputs(),
+		t.AddRowf(sp.Name, r.Areas.CutNets, r.MaxInputs,
 			sa.CutNets, sa.MaxInputs, sa.Violations)
 	}
 	return t
@@ -239,9 +239,11 @@ func tableSA(seed int64) *report.Table {
 func tablePET(seed int64) *report.Table {
 	t := report.NewTable("Conventional PET vs PPET session length, kappa = l_k = 16",
 		"Circuit", "cones", "max cone", "infeasible", "PET serial", "PET merged", "PPET (2^16)")
-	for _, sp := range bench89.SmallSpecs(2300) {
+	specs := bench89.SmallSpecs(2300)
+	compileAll(specNames(specs), []int{16}, seed)
+	for _, sp := range specs {
 		r := compile(sp.Name, 16, seed)
-		a, err := pet.Analyze(r.Graph, 16)
+		a, err := pet.Analyze(r.Result.Graph, 16)
 		if err != nil {
 			fatal(err)
 		}
@@ -258,7 +260,9 @@ func tablePET(seed int64) *report.Table {
 func tableStability() *report.Table {
 	t := report.NewTable("Stability: cut nets and retiming saving across seeds 1-5, l_k=16",
 		"Circuit", "cuts min", "cuts mean", "cuts max", "saving min", "saving mean", "saving max")
-	for _, sp := range bench89.SmallSpecs(2300) {
+	specs := bench89.SmallSpecs(2300)
+	compileAll(specNames(specs), []int{16}, 1, 2, 3, 4, 5)
+	for _, sp := range specs {
 		var cuts []float64
 		var savings []float64
 		for seed := int64(1); seed <= 5; seed++ {
@@ -296,17 +300,45 @@ func mustLoad(name string) *netlist.Circuit {
 	return c
 }
 
-var compileCache = map[string]*core.Result{}
+func specNames(specs []bench89.Spec) []string {
+	names := make([]string, len(specs))
+	for i, sp := range specs {
+		names[i] = sp.Name
+	}
+	return names
+}
 
-func compile(name string, lk int, seed int64) *core.Result {
-	key := fmt.Sprintf("%s/%d/%d", name, lk, seed)
-	if r, ok := compileCache[key]; ok {
-		return r
+// Every compilation the tables read comes from sweep.Run. One artifact
+// cache spans the whole process, so a later table reuses the saturations
+// of earlier ones: Saturate_Network does not depend on l_k.
+var (
+	tablesCache = sweep.NewCache(0)
+	compiled    = map[sweep.Job]*sweep.JobResult{}
+)
+
+// compileAll compiles, as one sweep batch, every (circuit, l_k, seed) of
+// the cross product not compiled yet. Each table calls it once before
+// reading, so a job's Elapsed covers exactly the stages its batch computed.
+func compileAll(circuits []string, lks []int, seeds ...int64) {
+	var todo []sweep.Job
+	for _, j := range sweep.Matrix(circuits, lks, []int{0}, seeds, nil) {
+		if _, ok := compiled[j]; !ok {
+			todo = append(todo, j)
+		}
 	}
-	r, err := core.Compile(context.Background(), mustLoad(name), core.DefaultOptions(lk, seed))
+	rep, err := sweep.Run(context.Background(), todo, sweep.Config{KeepResults: true, Cache: tablesCache})
+	if err == nil {
+		err = rep.FirstErr()
+	}
 	if err != nil {
-		fatal(fmt.Errorf("%s lk=%d: %w", name, lk, err))
+		fatal(err)
 	}
-	compileCache[key] = r
-	return r
+	for i := range rep.Jobs {
+		compiled[rep.Jobs[i].Job] = &rep.Jobs[i]
+	}
+}
+
+// compile returns a compilation made by an earlier compileAll.
+func compile(name string, lk int, seed int64) *sweep.JobResult {
+	return compiled[sweep.Job{Circuit: name, LK: lk, Seed: seed}]
 }

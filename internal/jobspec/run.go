@@ -32,7 +32,9 @@ type Runtime struct {
 	// run-private cache; the serve daemon passes its process-lifetime one
 	// so repeat circuits skip straight to partitioning.
 	Cache *sweep.Cache
-	// Load resolves a circuit name; nil means sweep.LoadCircuit.
+	// Load resolves a circuit name; nil means sweep.LoadCircuit. Parses
+	// from a custom loader are cached by name, so a loader used with a
+	// shared Cache must map each name to one netlist.
 	Load func(name string) (*netlist.Circuit, error)
 	// Progress, when non-nil, receives done/total counts as the job
 	// advances (sweep: jobs; cover: fault batches). Calls may arrive

@@ -11,8 +11,8 @@ import (
 // one fault machine: one Step drives the segment's inputs, settles the
 // program, folds boundary-output divergence into the detected mask, and
 // latches the flip-flops — for 64*Words() lanes at once. Fault campaigns
-// run Step/StepWarm on wide engines; the PPET self-test runs StepObserve on
-// a one-word engine and folds one lane's outputs into a MISR signature.
+// run Step on wide engines; the PPET self-test runs StepObserve on a
+// one-word engine and folds one lane's outputs into a MISR signature.
 //
 // Determinism contract: lanes are independent. Lane L's verdict after a
 // given pattern sequence depends only on the fault injected in lane L and
@@ -44,14 +44,10 @@ type LaneEngine interface {
 	// accumulate detection from the boundary outputs, latch flip-flops —
 	// and reports whether every armed lane has now diverged.
 	Step(pattern uint64) bool
-	// StepWarm is Step without the detection compare: warm-up cycles
-	// pre-load sequential state but must not count divergence observed
-	// before patterns have pipelined through.
-	StepWarm(pattern uint64)
-	// StepObserve is StepWarm that also writes lane's boundary-output
-	// bits (0 or 1, in OutputNames order) into out, sampled before the
-	// flip-flops latch. lane is 0 (the fault-free machine) to Lanes();
-	// out must have NumOutputs entries.
+	// StepObserve is one clock like Step that, instead of accumulating
+	// detection, writes lane's boundary-output bits (0 or 1, in OutputNames
+	// order) into out, sampled before the flip-flops latch. lane is 0 (the
+	// fault-free machine) to Lanes(); out must have NumOutputs entries.
 	StepObserve(pattern uint64, lane int, out []uint64)
 	// Detected reports whether lane has diverged since the last Arm.
 	Detected(lane int) bool
@@ -181,11 +177,9 @@ func (e *laneEngine[W]) ResetState() {
 }
 
 func (e *laneEngine[W]) Step(pattern uint64) bool {
-	e.cycle(pattern, true)
+	e.cycle(pattern)
 	return e.det == e.want
 }
-
-func (e *laneEngine[W]) StepWarm(pattern uint64) { e.cycle(pattern, false) }
 
 func (e *laneEngine[W]) StepObserve(pattern uint64, lane int, out []uint64) {
 	e.cycleGeneric(pattern, false, lane, out)
@@ -197,16 +191,16 @@ func (e *laneEngine[W]) StepObserve(pattern uint64, lane int, out []uint64) {
 // the same non-unrolled-loop and stack-spill cost as the generic kernel —
 // profiling showed them costing more than the settle itself. The pointer
 // receiver makes the any() conversion allocation-free.
-func (e *laneEngine[W]) cycle(pattern uint64, detect bool) {
+func (e *laneEngine[W]) cycle(pattern uint64) {
 	switch ee := any(e).(type) {
 	case *laneEngine[[1]uint64]:
-		cycle1(ee, pattern, detect)
+		cycle1(ee, pattern)
 	case *laneEngine[[2]uint64]:
-		cycle2(ee, pattern, detect)
+		cycle2(ee, pattern)
 	case *laneEngine[[4]uint64]:
-		cycle4(ee, pattern, detect)
+		cycle4(ee, pattern)
 	case *laneEngine[[8]uint64]:
-		cycle8(ee, pattern, detect)
+		cycle8(ee, pattern)
 	}
 }
 
@@ -215,8 +209,9 @@ func (e *laneEngine[W]) cycle(pattern uint64, detect bool) {
 // injection, sample boundary outputs into the detection accumulator and,
 // when out is non-nil, lane's output bits into out (both pre-latch), then
 // clock the flip-flops through their force masks. The width
-// specializations mirror it statement for statement, minus the observe
-// step, which only the cold self-test clock (StepObserve) takes.
+// specializations mirror it with detect set, statement for statement;
+// only the cold self-test clock (StepObserve) observes, and it does not
+// detect.
 func (e *laneEngine[W]) cycleGeneric(pattern uint64, detect bool, lane int, out []uint64) {
 	sg := e.sgmt
 	v, f0, f1 := e.v, e.force0, e.force1

@@ -344,7 +344,7 @@ func evalFaulty8(p *program, v, force0, force1 [][8]uint64) {
 // kernels: the drive/detect/latch loops run once per clock and otherwise
 // dominate the settle they wrap.
 
-func cycle1(e *laneEngine[[1]uint64], pattern uint64, detect bool) {
+func cycle1(e *laneEngine[[1]uint64], pattern uint64) {
 	sg := e.sgmt
 	v, f0, f1 := e.v, e.force0, e.force1
 	for i, sig := range sg.inputs {
@@ -353,15 +353,13 @@ func cycle1(e *laneEngine[[1]uint64], pattern uint64, detect bool) {
 		v[sig] = [1]uint64{(w &^ g0[0]) | g1[0]}
 	}
 	evalFaulty1(sg.prog, v, f0, f1)
-	if detect {
-		d0 := e.det[0]
-		for _, sig := range sg.outputs {
-			o := &v[sig]
-			ref := -(o[0] & 1) // fault-free lane broadcast
-			d0 |= o[0] ^ ref
-		}
-		e.det = [1]uint64{d0 & e.want[0]}
+	d0 := e.det[0]
+	for _, sig := range sg.outputs {
+		o := &v[sig]
+		ref := -(o[0] & 1) // fault-free lane broadcast
+		d0 |= o[0] ^ ref
 	}
+	e.det = [1]uint64{d0 & e.want[0]}
 	for i := range sg.dffs {
 		d := &sg.dffs[i]
 		x := &v[d.in]
@@ -370,7 +368,7 @@ func cycle1(e *laneEngine[[1]uint64], pattern uint64, detect bool) {
 	}
 }
 
-func cycle2(e *laneEngine[[2]uint64], pattern uint64, detect bool) {
+func cycle2(e *laneEngine[[2]uint64], pattern uint64) {
 	sg := e.sgmt
 	v, f0, f1 := e.v, e.force0, e.force1
 	for i, sig := range sg.inputs {
@@ -382,16 +380,14 @@ func cycle2(e *laneEngine[[2]uint64], pattern uint64, detect bool) {
 		}
 	}
 	evalFaulty2(sg.prog, v, f0, f1)
-	if detect {
-		d0, d1 := e.det[0], e.det[1]
-		for _, sig := range sg.outputs {
-			o := &v[sig]
-			ref := -(o[0] & 1)
-			d0 |= o[0] ^ ref
-			d1 |= o[1] ^ ref
-		}
-		e.det = [2]uint64{d0 & e.want[0], d1 & e.want[1]}
+	d0, d1 := e.det[0], e.det[1]
+	for _, sig := range sg.outputs {
+		o := &v[sig]
+		ref := -(o[0] & 1)
+		d0 |= o[0] ^ ref
+		d1 |= o[1] ^ ref
 	}
+	e.det = [2]uint64{d0 & e.want[0], d1 & e.want[1]}
 	for i := range sg.dffs {
 		d := &sg.dffs[i]
 		x := &v[d.in]
@@ -403,7 +399,7 @@ func cycle2(e *laneEngine[[2]uint64], pattern uint64, detect bool) {
 	}
 }
 
-func cycle4(e *laneEngine[[4]uint64], pattern uint64, detect bool) {
+func cycle4(e *laneEngine[[4]uint64], pattern uint64) {
 	sg := e.sgmt
 	v, f0, f1 := e.v, e.force0, e.force1
 	for i, sig := range sg.inputs {
@@ -417,18 +413,16 @@ func cycle4(e *laneEngine[[4]uint64], pattern uint64, detect bool) {
 		}
 	}
 	evalFaulty4(sg.prog, v, f0, f1)
-	if detect {
-		d0, d1, d2, d3 := e.det[0], e.det[1], e.det[2], e.det[3]
-		for _, sig := range sg.outputs {
-			o := &v[sig]
-			ref := -(o[0] & 1)
-			d0 |= o[0] ^ ref
-			d1 |= o[1] ^ ref
-			d2 |= o[2] ^ ref
-			d3 |= o[3] ^ ref
-		}
-		e.det = [4]uint64{d0 & e.want[0], d1 & e.want[1], d2 & e.want[2], d3 & e.want[3]}
+	d0, d1, d2, d3 := e.det[0], e.det[1], e.det[2], e.det[3]
+	for _, sig := range sg.outputs {
+		o := &v[sig]
+		ref := -(o[0] & 1)
+		d0 |= o[0] ^ ref
+		d1 |= o[1] ^ ref
+		d2 |= o[2] ^ ref
+		d3 |= o[3] ^ ref
 	}
+	e.det = [4]uint64{d0 & e.want[0], d1 & e.want[1], d2 & e.want[2], d3 & e.want[3]}
 	for i := range sg.dffs {
 		d := &sg.dffs[i]
 		x := &v[d.in]
@@ -442,7 +436,7 @@ func cycle4(e *laneEngine[[4]uint64], pattern uint64, detect bool) {
 	}
 }
 
-func cycle8(e *laneEngine[[8]uint64], pattern uint64, detect bool) {
+func cycle8(e *laneEngine[[8]uint64], pattern uint64) {
 	sg := e.sgmt
 	v, f0, f1 := e.v, e.force0, e.force1
 	for i, sig := range sg.inputs {
@@ -460,25 +454,23 @@ func cycle8(e *laneEngine[[8]uint64], pattern uint64, detect bool) {
 		}
 	}
 	evalFaulty8(sg.prog, v, f0, f1)
-	if detect {
-		d0, d1, d2, d3 := e.det[0], e.det[1], e.det[2], e.det[3]
-		d4, d5, d6, d7 := e.det[4], e.det[5], e.det[6], e.det[7]
-		for _, sig := range sg.outputs {
-			o := &v[sig]
-			ref := -(o[0] & 1)
-			d0 |= o[0] ^ ref
-			d1 |= o[1] ^ ref
-			d2 |= o[2] ^ ref
-			d3 |= o[3] ^ ref
-			d4 |= o[4] ^ ref
-			d5 |= o[5] ^ ref
-			d6 |= o[6] ^ ref
-			d7 |= o[7] ^ ref
-		}
-		e.det = [8]uint64{
-			d0 & e.want[0], d1 & e.want[1], d2 & e.want[2], d3 & e.want[3],
-			d4 & e.want[4], d5 & e.want[5], d6 & e.want[6], d7 & e.want[7],
-		}
+	d0, d1, d2, d3 := e.det[0], e.det[1], e.det[2], e.det[3]
+	d4, d5, d6, d7 := e.det[4], e.det[5], e.det[6], e.det[7]
+	for _, sig := range sg.outputs {
+		o := &v[sig]
+		ref := -(o[0] & 1)
+		d0 |= o[0] ^ ref
+		d1 |= o[1] ^ ref
+		d2 |= o[2] ^ ref
+		d3 |= o[3] ^ ref
+		d4 |= o[4] ^ ref
+		d5 |= o[5] ^ ref
+		d6 |= o[6] ^ ref
+		d7 |= o[7] ^ ref
+	}
+	e.det = [8]uint64{
+		d0 & e.want[0], d1 & e.want[1], d2 & e.want[2], d3 & e.want[3],
+		d4 & e.want[4], d5 & e.want[5], d6 & e.want[6], d7 & e.want[7],
 	}
 	for i := range sg.dffs {
 		d := &sg.dffs[i]

@@ -35,7 +35,11 @@ package sweep
 // compute, so the disk tier can degrade but never poison a result.
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -129,17 +133,29 @@ var parsedCodec = &stageCodec{
 	decode: func(b []byte) (any, error) { return core.DecodeParsed(b) },
 }
 
-// parsedTier returns the parsed-stage key and codec for a circuit
-// reference. The parsed stage is keyed by reference, not content, so only
-// a built-in name resolved by the default loader (defaultLoad) names one
-// netlist for good and may be persisted. A file can be edited between runs
-// and a custom loader may map any name to any netlist, so those stay in
-// the memory tier, under a key that cannot collide with a built-in's.
-func parsedTier(name string, defaultLoad bool) (string, *stageCodec) {
-	if defaultLoad && !IsCircuitFile(name) {
-		return "parsed:" + name, parsedCodec
+// parsedTier returns the parsed-stage key, codec and loader for a circuit
+// reference under load (nil means the default loader). Only a built-in
+// name resolved by the default loader names one netlist for good, so only
+// it is persisted (codec non-nil). A file can be edited between lookups:
+// it is read once here and keyed by its name plus a SHA-256 of the bytes,
+// which are the bytes the returned loader parses, so a long-lived Cache
+// never serves an edited file's old netlist. A custom loader's names stay
+// name-keyed (see Config.Load). Neither memory-only key can collide with a
+// built-in's.
+func parsedTier(name string, load func(string) (*netlist.Circuit, error)) (string, *stageCodec, func(string) (*netlist.Circuit, error)) {
+	switch {
+	case load != nil:
+		return "parsed-local:" + name, nil, load
+	case !IsCircuitFile(name):
+		return "parsed:" + name, parsedCodec, LoadCircuit
 	}
-	return "parsed-local:" + name, nil
+	b, err := os.ReadFile(name)
+	if err != nil {
+		return "parsed-local:" + name, nil, func(string) (*netlist.Circuit, error) { return nil, err }
+	}
+	return fmt.Sprintf("parsed-local:%s@%x", name, sha256.Sum256(b)), nil, func(name string) (*netlist.Circuit, error) {
+		return netlist.ParseBench(name, bytes.NewReader(b))
+	}
 }
 
 // analyzedCodec persists core.Analyzed artifacts built from p.
@@ -370,10 +386,7 @@ func (c *Cache) Compile(ctx context.Context, name string, load func(string) (*ne
 		return nil, err
 	}
 	start := time.Now()
-	key, codec := parsedTier(name, load == nil)
-	if load == nil {
-		load = LoadCircuit
-	}
+	key, codec, load := parsedTier(name, load)
 	pv, _, err := cacheStagedArtifact(ctx, c, stageParsed, key, nil, codec, func() (any, error) {
 		p, _, err := parse(ctx, name, load)
 		return p, err

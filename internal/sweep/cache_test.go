@@ -6,11 +6,17 @@ package sweep
 // ones `go test -race` leans on.
 
 import (
+	"bytes"
+	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/bench89"
 )
 
 // Singleflight: N concurrent requesters for one key run the computation
@@ -170,5 +176,61 @@ func TestCacheDefaultCapacity(t *testing.T) {
 	}
 	if got := NewCache(7).Stats().Capacity; got != 7 {
 		t.Errorf("explicit capacity not honoured: got %d, want 7", got)
+	}
+}
+
+// A long-lived Cache keys a file's parse by its content: after the file
+// is rewritten with another netlist, both Run and Cache.Compile on the
+// same Cache see the new netlist, and an unchanged file still hits.
+func TestSharedCacheSeesEditedFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "a.bench")
+	write := func(name string) {
+		t.Helper()
+		c, err := bench89.Load(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := c.WriteBench(&b); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jobs := []Job{{Circuit: path, LK: 16, Seed: 1}}
+	run := func(cfg Config) *Report {
+		t.Helper()
+		rep, err := Run(context.Background(), jobs, cfg)
+		if err == nil {
+			err = rep.FirstErr()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	shared := NewCache(0)
+
+	write("s510")
+	before := run(Config{Cache: shared}).Jobs[0].Areas
+	write("s27")
+	want := run(Config{}).Jobs[0].Areas
+	if want == before {
+		t.Fatalf("s27 and s510 price alike: %+v", want)
+	}
+	if got := run(Config{Cache: shared}).Jobs[0].Areas; got != want {
+		t.Errorf("Run after the edit: got %+v, want %+v", got, want)
+	}
+	r, err := shared.Compile(context.Background(), path, nil, jobs[0].Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Areas != want {
+		t.Errorf("Cache.Compile after the edit: got %+v, want %+v", r.Areas, want)
+	}
+	if rep := run(Config{Cache: shared}); rep.Cache.Parsed.Hits != 1 || rep.Cache.Saturated.Misses != 0 {
+		t.Errorf("unchanged file: parsed hits %d, saturated misses %d; want 1 and 0",
+			rep.Cache.Parsed.Hits, rep.Cache.Saturated.Misses)
 	}
 }

@@ -129,7 +129,9 @@ type Config struct {
 	// order); the callback must be safe for concurrent use and must not
 	// write to the report stream.
 	Progress func(done, total int)
-	// Load resolves Job.Circuit to a netlist; nil means LoadCircuit.
+	// Load resolves Job.Circuit to a netlist; nil means LoadCircuit. The
+	// parsed stage caches a custom loader's netlists by name, so a loader
+	// used with a shared Cache must map each name to one netlist.
 	Load func(name string) (*netlist.Circuit, error)
 	// Compile runs one job; nil means the staged cached pipeline (or
 	// core.Compile under NoCache). The hook receives the shared normalized
@@ -240,10 +242,6 @@ func Run(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	load := cfg.Load
-	if load == nil {
-		load = LoadCircuit
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -280,7 +278,7 @@ func Run(ctx context.Context, jobs []Job, cfg Config) (*Report, error) {
 	masters := make(map[string]*core.Parsed, len(jobs))
 	var parseTimes []time.Duration
 	for i, j := range jobs {
-		key, codec := parsedTier(j.Circuit, cfg.Load == nil)
+		key, codec, load := parsedTier(j.Circuit, cfg.Load)
 		v, _, err := cache.getOrCompute(stageParsed, key, per, codec, func() (any, error) {
 			p, d, err := parse(ctx, j.Circuit, load)
 			if err == nil {
